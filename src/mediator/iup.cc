@@ -1,6 +1,7 @@
 #include "mediator/iup.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <optional>
 #include <set>
@@ -35,13 +36,66 @@ size_t PositionsOf(const NodeDef& def, const std::string& child) {
   return n;
 }
 
+bool ContainsAttr(const std::vector<std::string>& attrs,
+                  const std::string& a) {
+  return std::find(attrs.begin(), attrs.end(), a) != attrs.end();
+}
+
+/// The semi-join restriction on sibling term \p y of the SPJ \p def when
+/// term \p x fires with the exactly known delta \p dx: one `b IN π_a(dx)`
+/// conjunct per equi join conjunct `a = b` with a in x's projection and b in
+/// y's. Sound because Δx ⋈ y = Δx ⋈ σ_{b ∈ π_a Δx}(y); NULL keys never
+/// join, so they leave the set. A key with no exact literal (NaN, ±inf)
+/// drops that conjunct. True() when no conjunct links the two terms.
+Expr::Ptr SemiJoinRestriction(const NodeDef& def, const ChildTerm& x,
+                              const ChildTerm& y, const Delta& dx) {
+  std::vector<Expr::Ptr> restriction;
+  for (const auto& join_cond : def.join_conds()) {
+    for (const auto& clause : ConjunctiveClauses(join_cond)) {
+      if (clause->kind() != Expr::Kind::kBinary ||
+          clause->bin_op() != BinOp::kEq ||
+          clause->left()->kind() != Expr::Kind::kAttr ||
+          clause->right()->kind() != Expr::Kind::kAttr) {
+        continue;
+      }
+      std::string a = clause->left()->attr_name();
+      std::string b = clause->right()->attr_name();
+      if (!ContainsAttr(x.project, a) || !ContainsAttr(y.project, b)) {
+        std::swap(a, b);
+        if (!ContainsAttr(x.project, a) || !ContainsAttr(y.project, b)) {
+          continue;
+        }
+      }
+      auto col = dx.schema().IndexOf(a);
+      if (!col) continue;
+      std::vector<Value> keys;
+      bool exact = true;
+      dx.ForEach([&](const Tuple& t, int64_t count) {
+        (void)count;
+        const Value& key = t.at(*col);
+        if (key.type() == ValueType::kDouble &&
+            !std::isfinite(key.AsDouble())) {
+          exact = false;
+        } else if (!key.is_null()) {
+          keys.push_back(key);
+        }
+      });
+      if (exact) restriction.push_back(Expr::In(b, std::move(keys)));
+    }
+  }
+  return AndAll(restriction);
+}
+
 }  // namespace
 
 Result<std::vector<TempRequest>> Iup::PrepareTempRequests(
     const std::map<std::string, Delta>& leaf_deltas) const {
   // Affected set: exact at leaf-parents (filter the actual deltas),
-  // conservative above.
+  // conservative above. The filtered delta of a single-term leaf-parent is
+  // exactly the delta it will fire — kernel step 1 computes it from the
+  // leaf delta alone — so it is kept for the semi-join restriction below.
   std::set<std::string> affected;
+  std::map<std::string, Delta> known_deltas;
   for (const auto& [leaf, delta] : leaf_deltas) {
     if (delta.Empty()) continue;
     for (const auto& parent_name : vdp_->Parents(leaf)) {
@@ -54,6 +108,10 @@ Result<std::vector<TempRequest>> Iup::PrepareTempRequests(
                                     term.project));
         if (!filtered.Empty()) {
           affected.insert(parent_name);
+          if (parent->def->kind() == NodeDef::Kind::kSpj &&
+              parent->def->terms().size() == 1) {
+            known_deltas.emplace(parent_name, std::move(filtered));
+          }
           break;
         }
       }
@@ -75,6 +133,10 @@ Result<std::vector<TempRequest>> Iup::PrepareTempRequests(
   //  - every term over a different child,
   //  - terms over x itself when p is a difference node (presence deltas) or
   //    x occurs at several positions (self-joins).
+  // A sibling read by an SPJ firing whose delta is known is restricted to
+  // the rows that can join it. x's own terms never are: the kernel adds Δx
+  // to a new-state occurrence of x, and a delete atom outside a key set
+  // would drive that strict apply negative.
   std::vector<TempRequest> requests;
   for (const auto& parent_name : affected) {
     const VdpNode* parent = vdp_->Find(parent_name);
@@ -84,8 +146,18 @@ Result<std::vector<TempRequest>> Iup::PrepareTempRequests(
       bool child_affected =
           affected.count(child) > 0 || leaf_deltas.count(child) > 0;
       if (!child_affected) continue;
-      bool self_needed = def.kind() == NodeDef::Kind::kDiff ||
-                         PositionsOf(def, child) > 1;
+      const size_t positions = PositionsOf(def, child);
+      bool self_needed = def.kind() == NodeDef::Kind::kDiff || positions > 1;
+      const Delta* known = nullptr;
+      const ChildTerm* firing_term = nullptr;
+      auto kit = known_deltas.find(child);
+      if (kit != known_deltas.end() && def.kind() == NodeDef::Kind::kSpj &&
+          positions == 1) {
+        known = &kit->second;
+        for (const auto& term : def.terms()) {
+          if (term.child == child) firing_term = &term;
+        }
+      }
       for (const auto& term : def.terms()) {
         bool needed = term.child != child || self_needed;
         if (!needed) continue;
@@ -97,6 +169,10 @@ Result<std::vector<TempRequest>> Iup::PrepareTempRequests(
         req.node = term.child;
         req.attrs = attrs;
         req.cond = term.SelectOrTrue();
+        if (known != nullptr && term.child != child) {
+          req.cond = Expr::And(
+              req.cond, SemiJoinRestriction(def, *firing_term, term, *known));
+        }
         requests.push_back(std::move(req));
       }
     }

@@ -321,6 +321,32 @@ void Mediator::AfterGuarded(Time delay, std::function<void()> fn) {
   });
 }
 
+namespace {
+
+/// Checks an answer against the request it answers: one result per poll,
+/// each carrying exactly the polled attributes.
+Status ValidatePollAnswer(const PollRequest& request,
+                          const PollAnswer& answer) {
+  if (answer.results.size() != request.polls.size()) {
+    return Status::Unavailable(
+        "poll answer from " + answer.source + " carries " +
+        std::to_string(answer.results.size()) + " results for " +
+        std::to_string(request.polls.size()) + " polls");
+  }
+  for (size_t i = 0; i < request.polls.size(); ++i) {
+    const PollSpec& spec = request.polls[i];
+    if (answer.results[i].schema().AttributeNames() != spec.attrs) {
+      return Status::Unavailable("poll of " + answer.source + "." +
+                                 spec.relation +
+                                 " failed at the source: the answer lacks [" +
+                                 Join(spec.attrs, ",") + "]");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 void Mediator::OnSourceMessage(SourceToMediatorMsg msg) {
   if (crashed_) {
     // Safety net: planned fault windows retransmit around the downtime (see
@@ -462,6 +488,19 @@ void Mediator::OnSourceMessage(SourceToMediatorMsg msg) {
     // Duplicate delivery of an answer already consumed, or an answer to a
     // request superseded by a re-poll round.
     ++stats_.stale_poll_answers;
+    return;
+  }
+  if (Status valid = ValidatePollAnswer(oit->second, answer); !valid.ok()) {
+    // A poll the source failed to evaluate comes back as a schema-less
+    // marker; consuming it as data would corrupt the transaction. Fail the
+    // wait instead: an update requeues its batch, a query fails over.
+    auto fail = std::move(wait.on_failure);
+    if (fail) {
+      fail(valid);
+    } else {
+      SQ_LOG(kError) << valid.ToString();
+      FinishTxn();
+    }
     return;
   }
   wait.outstanding.erase(oit);

@@ -514,6 +514,21 @@ Result<VOp> ExecUnary(UnOp uop, const VOp& a, const ColumnBatch& batch) {
   return out;
 }
 
+/// Membership of every cell in \p list as int 1 / 0, per InList::Contains
+/// (the row evaluator's kIn).
+VOp ExecIn(const InList& list, const VOp& a, const ColumnBatch& batch) {
+  if (a.kind == VOp::kConst) {
+    return MakeConst(Value(int64_t{list.Contains(a.cval) ? 1 : 0}));
+  }
+  const size_t n = batch.rows();
+  VOp out = MakeTemp(n);
+  for (size_t r = 0; r < n; ++r) {
+    out.temp.tags[r] = kTagInt;
+    out.temp.bits[r] = list.Contains(ValueOf(a, batch, r)) ? 1 : 0;
+  }
+  return out;
+}
+
 /// Truthiness of a cell per ValueTruthy.
 bool CellTruthy(const VOp& op, const ColumnBatch& batch, size_t r) {
   const Column* c = op.kind == VOp::kRef ? op.col : &op.temp;
@@ -566,6 +581,9 @@ Result<std::vector<uint32_t>> EvalPredicate(const BoundExpr& expr,
         stack.push_back(std::move(r));
         break;
       }
+      case BoundExpr::Instr::Op::kIn:
+        stack.back() = ExecIn(*in.in_list, stack.back(), batch);
+        break;
     }
   }
   if (stack.size() != 1) return Status::Internal("bad expression stack");

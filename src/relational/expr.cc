@@ -1,9 +1,77 @@
 #include "relational/expr.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <functional>
 
 namespace squirrel {
+
+namespace {
+
+bool IsNan(const Value& v) {
+  return v.type() == ValueType::kDouble && std::isnan(v.AsDouble());
+}
+
+/// Canonical member order: Value order, then int before double (so the int
+/// form of an equal pair survives dedup), then -0.0 before 0.0. It totally
+/// orders the representations, so the canonical list never depends on the
+/// input order.
+bool InMemberLess(const Value& a, const Value& b) {
+  int c = a.Compare(b);
+  if (c != 0) return c < 0;
+  if (a.type() != b.type()) return a.type() < b.type();
+  return a.type() == ValueType::kDouble && std::signbit(a.AsDouble()) &&
+         !std::signbit(b.AsDouble());
+}
+
+/// Exact, type-preserving literal text of an IN member: shortest
+/// round-trip doubles with a '.' or exponent kept (5.0 stays a double),
+/// strings quoted with embedded quotes doubled.
+std::string MemberLiteral(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      return "NULL";
+    case ValueType::kInt:
+      return std::to_string(v.AsInt());
+    case ValueType::kDouble: {
+      char buf[64];
+      auto res = std::to_chars(buf, buf + sizeof(buf), v.AsDouble());
+      std::string text(buf, res.ptr);
+      if (text.find_first_of(".en") == std::string::npos) text += ".0";
+      return text;
+    }
+    case ValueType::kString: {
+      std::string text = "'";
+      for (char c : v.AsString()) {
+        text += c;
+        if (c == '\'') text += c;
+      }
+      return text + "'";
+    }
+  }
+  return "?";
+}
+
+}  // namespace
+
+InList::InList(std::vector<Value> values) : values_(std::move(values)) {
+  // NULL is never a member; NaN compares equal to every number under Value
+  // order, so it could neither sort nor probe consistently.
+  values_.erase(std::remove_if(values_.begin(), values_.end(),
+                               [](const Value& v) {
+                                 return v.is_null() || IsNan(v);
+                               }),
+                values_.end());
+  std::sort(values_.begin(), values_.end(), InMemberLess);
+  values_.erase(std::unique(values_.begin(), values_.end()), values_.end());
+  members_.insert(values_.begin(), values_.end());
+}
+
+bool InList::Contains(const Value& v) const {
+  if (v.is_null() || IsNan(v)) return false;
+  return members_.count(v) > 0;
+}
 
 const char* BinOpName(BinOp op) {
   switch (op) {
@@ -66,6 +134,14 @@ Expr::Ptr Expr::Unary(UnOp op, Ptr child) {
   return e;
 }
 
+Expr::Ptr Expr::In(std::string attr, std::vector<Value> values) {
+  auto e = std::shared_ptr<Expr>(new Expr());
+  e->kind_ = Kind::kIn;
+  e->name_ = std::move(attr);
+  e->in_list_ = std::make_shared<const InList>(std::move(values));
+  return e;
+}
+
 Expr::Ptr Expr::True() { return Const(Value(int64_t{1})); }
 
 Expr::Ptr Expr::And(Ptr l, Ptr r) {
@@ -85,6 +161,7 @@ void Expr::CollectAttrs(std::set<std::string>* out) const {
     case Kind::kConst:
       return;
     case Kind::kAttr:
+    case Kind::kIn:
       out->insert(name_);
       return;
     case Kind::kBinary:
@@ -120,6 +197,15 @@ bool Expr::Equals(const Expr& other) const {
              right_->Equals(*other.right_);
     case Kind::kUnary:
       return un_op_ == other.un_op_ && left_->Equals(*other.left_);
+    case Kind::kIn: {
+      const auto& a = in_list_->values();
+      const auto& b = other.in_list_->values();
+      if (name_ != other.name_ || a.size() != b.size()) return false;
+      for (size_t i = 0; i < a.size(); ++i) {
+        if (a[i] != b[i] || a[i].type() != b[i].type()) return false;
+      }
+      return true;
+    }
   }
   return false;
 }
@@ -136,6 +222,15 @@ std::string Expr::ToString() const {
     case Kind::kUnary:
       return un_op_ == UnOp::kNeg ? "(-" + left_->ToString() + ")"
                                   : "(NOT " + left_->ToString() + ")";
+    case Kind::kIn: {
+      std::string out = "(" + name_ + " IN (";
+      const auto& values = in_list_->values();
+      for (size_t i = 0; i < values.size(); ++i) {
+        if (i > 0) out += ", ";
+        out += MemberLiteral(values[i]);
+      }
+      return out + "))";
+    }
   }
   return "?";
 }
@@ -203,7 +298,8 @@ Result<BoundExpr> BoundExpr::Bind(const Expr::Ptr& expr,
         bound.code_.push_back(std::move(in));
         return;
       }
-      case Expr::Kind::kAttr: {
+      case Expr::Kind::kAttr:
+      case Expr::Kind::kIn: {
         auto idx = schema.IndexOf(e.attr_name());
         if (!idx) {
           st = Status::NotFound("expression references unknown attribute: " +
@@ -214,6 +310,12 @@ Result<BoundExpr> BoundExpr::Bind(const Expr::Ptr& expr,
         in.op = Instr::Op::kPushAttr;
         in.attr_index = *idx;
         bound.code_.push_back(std::move(in));
+        if (e.kind() == Expr::Kind::kIn) {
+          Instr member;
+          member.op = Instr::Op::kIn;
+          member.in_list = e.in_list();
+          bound.code_.push_back(std::move(member));
+        }
         return;
       }
       case Expr::Kind::kBinary: {
@@ -396,6 +498,11 @@ Result<Value> BoundExpr::Eval(const Tuple& tuple) const {
         stack.pop_back();
         SQ_ASSIGN_OR_RETURN(Value r, EvalUnaryValue(in.un_op, a));
         stack.push_back(std::move(r));
+        break;
+      }
+      case Instr::Op::kIn: {
+        bool member = in.in_list->Contains(stack.back());
+        stack.back() = Value(int64_t{member ? 1 : 0});
         break;
       }
     }

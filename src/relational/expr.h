@@ -15,6 +15,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -45,13 +46,39 @@ enum class UnOp { kNeg, kNot };
 /// Token for a binary operator, e.g. "+", "<=", "AND".
 const char* BinOpName(BinOp op);
 
+/// \brief The constant list of an IN predicate.
+///
+/// Values are sorted by Value order, deduplicated under Value equality
+/// (5 and 5.0 are one member; the int form is kept) and NULL-free: a NULL
+/// operand is never a member. Membership is one hash probe with Value::Hash
+/// and Value equality — the join kernels' key equality — so a value of
+/// another type is simply not a member, never a type error.
+class InList {
+ public:
+  explicit InList(std::vector<Value> values);
+
+  /// The canonical member list.
+  const std::vector<Value>& values() const { return values_; }
+  /// True iff \p v equals a member (false for NULL).
+  bool Contains(const Value& v) const;
+
+ private:
+  struct ValueHasher {
+    size_t operator()(const Value& v) const {
+      return static_cast<size_t>(v.Hash());
+    }
+  };
+  std::vector<Value> values_;
+  std::unordered_set<Value, ValueHasher> members_;
+};
+
 /// \brief Immutable expression tree node.
 class Expr {
  public:
   using Ptr = std::shared_ptr<const Expr>;
 
   /// Node discriminator.
-  enum class Kind { kConst, kAttr, kBinary, kUnary };
+  enum class Kind { kConst, kAttr, kBinary, kUnary, kIn };
 
   /// Constant leaf.
   static Ptr Const(Value v);
@@ -61,6 +88,10 @@ class Expr {
   static Ptr Binary(BinOp op, Ptr left, Ptr right);
   /// Unary node.
   static Ptr Unary(UnOp op, Ptr child);
+  /// Membership predicate `attr IN (values...)`: 1 when the attribute's
+  /// value is a member of the list (see InList), else 0 — including for a
+  /// NULL operand. \p values need not be sorted or distinct.
+  static Ptr In(std::string attr, std::vector<Value> values);
 
   /// The always-true predicate (integer constant 1).
   static Ptr True();
@@ -81,8 +112,10 @@ class Expr {
   Kind kind() const { return kind_; }
   /// Constant value; only for kConst.
   const Value& value() const { return value_; }
-  /// Attribute name; only for kAttr.
+  /// Attribute name; only for kAttr and kIn.
   const std::string& attr_name() const { return name_; }
+  /// Member list; only for kIn.
+  const std::shared_ptr<const InList>& in_list() const { return in_list_; }
   /// Operator; only for kBinary.
   BinOp bin_op() const { return bin_op_; }
   /// Operator; only for kUnary.
@@ -103,7 +136,10 @@ class Expr {
   /// Structural equality (used when merging VAP requests).
   bool Equals(const Expr& other) const;
 
-  /// Parenthesized rendering, e.g. "((a1*a1)+(a2)) < (b2*b2)".
+  /// Parenthesized rendering, e.g. "((a1*a1)+(a2)) < (b2*b2)". An IN node
+  /// renders as "(b IN (v1, v2))" with members in exact, type-preserving
+  /// literal form (doubles keep a '.' or exponent), so ParsePredicate reads
+  /// back an Equals() tree for every finite member.
   std::string ToString() const;
 
  private:
@@ -114,6 +150,7 @@ class Expr {
   BinOp bin_op_ = BinOp::kAdd;
   UnOp un_op_ = UnOp::kNeg;
   Ptr left_, right_;
+  std::shared_ptr<const InList> in_list_;
 };
 
 /// Splits nested conjunctions into their top-level conjuncts.
@@ -157,13 +194,16 @@ class BoundExpr {
 
   /// One stack-machine instruction. Public so the columnar engine can
   /// interpret the same compiled program column-wise (see columnar.h);
-  /// the program layout is otherwise an implementation detail.
+  /// the program layout is otherwise an implementation detail. An IN node
+  /// compiles to kPushAttr followed by kIn, which replaces the top of the
+  /// stack with its membership (int 1 / 0).
   struct Instr {
-    enum class Op { kPushConst, kPushAttr, kBinary, kUnary } op;
+    enum class Op { kPushConst, kPushAttr, kBinary, kUnary, kIn } op;
     Value constant;      // kPushConst
     size_t attr_index = 0;  // kPushAttr
     BinOp bin_op = BinOp::kAdd;
     UnOp un_op = UnOp::kNeg;
+    std::shared_ptr<const InList> in_list;  // kIn
   };
 
   /// The compiled postfix program.

@@ -74,7 +74,23 @@ class Lexer {
           if (text_[j] == '.') is_double = true;
           ++j;
         }
+        // Optional exponent ("1e+20", "2.5E-7"): the form exact double
+        // literals of IN lists take.
+        if (j < text_.size() && (text_[j] == 'e' || text_[j] == 'E')) {
+          size_t k = j + 1;
+          if (k < text_.size() && (text_[k] == '+' || text_[k] == '-')) ++k;
+          if (k < text_.size() &&
+              std::isdigit(static_cast<unsigned char>(text_[k]))) {
+            is_double = true;
+            j = k;
+            while (j < text_.size() &&
+                   std::isdigit(static_cast<unsigned char>(text_[j]))) {
+              ++j;
+            }
+          }
+        }
         std::string num(text_.substr(i, j - i));
+        t.text = num;
         if (is_double) {
           t.kind = TokKind::kDouble;
           t.dbl_val = std::strtod(num.c_str(), nullptr);
@@ -86,9 +102,15 @@ class Lexer {
       } else if (c == '\'') {
         size_t j = i + 1;
         std::string s;
-        while (j < text_.size() && text_[j] != '\'') {
-          s += text_[j];
-          ++j;
+        for (;;) {
+          while (j < text_.size() && text_[j] != '\'') {
+            s += text_[j];
+            ++j;
+          }
+          // A doubled quote inside a literal stands for one quote.
+          if (j + 1 >= text_.size() || text_[j + 1] != '\'') break;
+          s += '\'';
+          j += 2;
         }
         if (j >= text_.size()) {
           return Status::InvalidArgument("unterminated string literal at " +
@@ -205,6 +227,13 @@ class Parser {
 
   Result<Expr::Ptr> ParseComparison() {
     SQ_ASSIGN_OR_RETURN(Expr::Ptr left, ParseAdd());
+    if (TakeKeyword("in")) {
+      if (left->kind() != Expr::Kind::kAttr) {
+        return Err("IN needs an attribute on its left");
+      }
+      SQ_ASSIGN_OR_RETURN(std::vector<Value> values, ParseInList());
+      return Expr::In(left->attr_name(), std::move(values));
+    }
     static const struct {
       const char* sym;
       BinOp op;
@@ -217,6 +246,42 @@ class Parser {
       }
     }
     return left;
+  }
+
+  /// "(" [literal {"," literal}] ")": the member list of an IN predicate.
+  Result<std::vector<Value>> ParseInList() {
+    SQ_RETURN_IF_ERROR(ExpectSymbol("("));
+    std::vector<Value> values;
+    if (TakeSymbol(")")) return values;
+    do {
+      SQ_ASSIGN_OR_RETURN(Value v, ParseLiteral());
+      values.push_back(std::move(v));
+    } while (TakeSymbol(","));
+    SQ_RETURN_IF_ERROR(ExpectSymbol(")"));
+    return values;
+  }
+
+  /// An optionally signed number, a string, or NULL. The sign is folded
+  /// into the literal text, so INT64_MIN and -0.0 read back exactly.
+  Result<Value> ParseLiteral() {
+    bool negative = TakeSymbol("-");
+    const Token& t = Peek();
+    if (t.kind == TokKind::kInt || t.kind == TokKind::kDouble) {
+      std::string text = (negative ? "-" : "") + t.text;
+      bool is_int = t.kind == TokKind::kInt;
+      Take();
+      if (is_int) {
+        return Value(
+            static_cast<int64_t>(std::strtoll(text.c_str(), nullptr, 10)));
+      }
+      return Value(std::strtod(text.c_str(), nullptr));
+    }
+    if (!negative && t.kind == TokKind::kString) return Value(Take().text);
+    if (!negative && IsKeyword(t, "null")) {
+      Take();
+      return Value();
+    }
+    return Err("expected a literal");
   }
 
   Result<Expr::Ptr> ParseAdd() {

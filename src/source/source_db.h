@@ -13,6 +13,8 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -29,6 +31,12 @@ class SourceDb {
  public:
   /// Creates an empty database called \p name.
   explicit SourceDb(std::string name) : name_(std::move(name)) {}
+  // A copy's key indexes would point into the original's relations. Moves
+  // keep every relation (and so every row entry) at its address.
+  SourceDb(const SourceDb&) = delete;
+  SourceDb& operator=(const SourceDb&) = delete;
+  SourceDb(SourceDb&&) = default;
+  SourceDb& operator=(SourceDb&&) = default;
 
   /// The database name (unique within an integration environment).
   const std::string& name() const { return name_; }
@@ -61,6 +69,13 @@ class SourceDb {
   /// Evaluates π_attrs σ_cond(rel) against the *current* state (bag result,
   /// as projections may merge tuples). This is the query interface the
   /// mediator's VAP polls.
+  ///
+  /// A top-level `a IN (...)` conjunct of \p cond on one of the relation's
+  /// attributes is served from a key index on `a` (built on first use, then
+  /// maintained by Commit): only the rows whose `a` matches a member are
+  /// evaluated against the whole \p cond. Any other condition scans. The
+  /// answer is the scan's; only an evaluation error on a row outside the key
+  /// set goes unnoticed, because that row is never evaluated.
   Result<Relation> Query(const std::string& rel_name,
                          const std::vector<std::string>& attrs,
                          const Expr::Ptr& cond) const;
@@ -105,8 +120,25 @@ class SourceDb {
     MultiDelta delta;
   };
 
+  /// One relation's row entries keyed by Value::Hash of one attribute. The
+  /// pointers address the relation's own (node-stable) map entries, so the
+  /// index holds no tuple copies; a hash collision only adds a candidate
+  /// that the full condition then rejects.
+  using RowEntry = std::pair<const Tuple, int64_t>;
+  using KeyIndex = std::unordered_multimap<uint64_t, const RowEntry*>;
+
+  /// The index of \p rel on attribute position \p col, built on first use.
+  const KeyIndex& IndexFor(const std::string& rel_name, const Relation& rel,
+                           size_t col) const;
+  /// Applies \p delta to \p rel_name, keeping its key indexes current:
+  /// entries about to be erased leave before the apply, new ones join after.
+  Status ApplyIndexed(const std::string& rel_name, const Delta& delta);
+
   std::string name_;
   std::map<std::string, Relation> relations_;
+  /// Key indexes by relation, then attribute position. Mutable: Query builds
+  /// them lazily (SourceDb is single-threaded, like its relations).
+  mutable std::map<std::string, std::map<size_t, KeyIndex>> key_indexes_;
   std::vector<LogEntry> log_;
   std::vector<std::function<void(Time, const MultiDelta&)>> commit_listeners_;
   std::vector<std::function<void(Time)>> restart_listeners_;

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "mediator/consistency.h"
 #include "mediator/freshness.h"
 #include "mediator/mediator.h"
 #include "testing/util.h"
+#include "vdp/builder.h"
 #include "vdp/paper_examples.h"
 
 namespace squirrel {
@@ -91,6 +94,75 @@ class SimFigure1 : public ::testing::Test {
   std::vector<ViewAnswer> answers_;
   Vdp checker_vdp_;
 };
+
+// A poll the source fails to evaluate must fail the waiting transaction,
+// never be consumed as data. T here reads only S' rows with s2 < 10 under
+// Example 2.3's annotation. The S row (300, 'x', 99) fails S' (s3 < 50), so
+// the mediator never evaluates s2 < 10 on it — but a poll of S carries both
+// selections, and the source errors on that row whenever it evaluates it.
+class PollFailureTest : public SimFigure1 {
+ protected:
+  void SetUp() override {
+    SimFigure1::SetUp();
+    SQ_ASSERT_OK(db2_->InsertTuple(0, "S", Tuple({300, "x", 99})));
+    VdpBuilder b;
+    b.Leaf("R", "DB1", "R", "R(r1, r2, r3, r4) key(r1)");
+    b.Leaf("S", "DB2", "S", "S(s1, s2, s3) key(s1)");
+    b.LeafParent("R'", "R", {"r1", "r2", "r3"}, "r4 = 100");
+    b.LeafParent("S'", "S", {"s1", "s2"}, "s3 < 50");
+    b.Spj("T",
+          {{"R'", {"r1", "r2", "r3"}, ""}, {"S'", {"s1", "s2"}, "s2 < 10"}},
+          {"r2 = s1"}, {"r1", "r3", "s1", "s2"}, "", /*exported=*/true);
+    auto vdp = b.Build();
+    ASSERT_TRUE(vdp.ok()) << vdp.status().ToString();
+    Annotation ann;
+    SQ_ASSERT_OK(ann.SetAll(*vdp, "R'", AttrMode::kVirtual));
+    SQ_ASSERT_OK(ann.SetAll(*vdp, "S'", AttrMode::kVirtual));
+    SQ_ASSERT_OK(ann.SetFromSpec(*vdp, "T", "r1 m, r3 v, s1 m, s2 v"));
+    std::vector<SourceSetup> setups = {{db1_.get(), 1.0, 0.5, 0.0},
+                                       {db2_.get(), 1.0, 0.5, 0.0}};
+    auto med = Mediator::Create(*vdp, ann, setups, &scheduler_,
+                                MediatorOptions{});
+    ASSERT_TRUE(med.ok()) << med.status().ToString();
+    mediator_ = std::move(med).value();
+    SQ_ASSERT_OK(mediator_->Start());
+  }
+};
+
+TEST_F(PollFailureTest, UpdateRequeuesInsteadOfConsumingTheMarker) {
+  // One R commit: r2 = 100 joins S' and r2 = 300 makes the bad S row a
+  // candidate of the update's poll, which therefore fails at the source.
+  scheduler_.At(1.0, [this]() {
+    MultiDelta md;
+    auto* d = md.Mutable("R", MakeSchema("R(r1, r2, r3, r4)"));
+    SQ_EXPECT_OK(d->AddInsert(Tuple({2, 100, 22, 100})));
+    SQ_EXPECT_OK(d->AddInsert(Tuple({3, 300, 33, 100})));
+    SQ_EXPECT_OK(db1_->Commit(scheduler_.Now(), md));
+  });
+  // Deleting the r2 = 300 row takes the bad S row out of the key set; the
+  // requeued batch then commits.
+  CommitR(8.0, Tuple({3, 300, 33, 100}), /*del=*/true);
+  QueryAt(30.0, ViewQuery{"T", {"r1", "s1"}, nullptr});
+  scheduler_.RunUntil(100.0);
+  EXPECT_GE(mediator_->stats().update_txn_aborts, 1u);
+  ASSERT_EQ(answers_.size(), 1u);
+  EXPECT_EQ(Rows(answers_[0].data), "(1, 100) (2, 100) ");
+}
+
+TEST_F(PollFailureTest, QueryFailsOverWithTypedStatus) {
+  // A query reading s2 polls S unrestricted, so the source always errors.
+  std::optional<Status> status;
+  scheduler_.At(1.0, [this, &status]() {
+    mediator_->SubmitQuery(ViewQuery{"T", {}, nullptr},
+                           [&status](Result<ViewAnswer> ans) {
+                             status = ans.status();
+                           });
+  });
+  scheduler_.RunUntil(100.0);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->code(), StatusCode::kUnavailable) << status->ToString();
+  EXPECT_EQ(mediator_->stats().failed_queries, 1u);
+}
 
 TEST_F(SimFigure1, FullyMaterializedEndToEnd) {
   MakeMediator(AnnotationExample21(), MediatorOptions{});

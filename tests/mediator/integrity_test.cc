@@ -309,7 +309,7 @@ PollRequest FuzzPollRequest() {
   PollSpec p1;
   p1.relation = "R";
   p1.attrs = {"a", "b"};
-  auto cond = ParsePredicate("a < 10");
+  auto cond = ParsePredicate("a < 10 AND b IN (-3, 2.5, 'k', 7)");
   EXPECT_TRUE(cond.ok());
   p1.cond = *cond;
   req.polls.push_back(std::move(p1));

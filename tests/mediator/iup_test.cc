@@ -240,6 +240,195 @@ TEST_F(Figure1Fixture, PreparationRequestsVirtualSibling) {
             (std::vector<std::string>{"r1", "r2", "r3"}));
 }
 
+// ---------------------------------------------------------------------------
+// Delta-restricted temporaries: the semi-join key sets of preparation
+// ---------------------------------------------------------------------------
+
+std::map<std::string, Delta> LeafDeltas(
+    const std::string& leaf, const std::string& decl,
+    const std::vector<std::pair<Tuple, int64_t>>& atoms) {
+  Delta d(MakeSchema(decl));
+  for (const auto& [t, c] : atoms) EXPECT_TRUE(d.Add(t, c).ok());
+  std::map<std::string, Delta> out;
+  out.emplace(leaf, std::move(d));
+  return out;
+}
+
+std::vector<std::string> RequestStrings(
+    const std::vector<TempRequest>& requests) {
+  std::vector<std::string> out;
+  for (const auto& r : requests) out.push_back(r.ToString());
+  return out;
+}
+
+TEST_F(Figure1Fixture, RestrictionRequestsExactKeySets) {
+  auto vdp = BuildFigure1Vdp();
+  ASSERT_TRUE(vdp.ok());
+  auto h = MakeHarness(AnnotationExample23(*vdp));
+  // ΔR requests S' restricted to the r2 keys of ΔR' (the r4 = 100 rows).
+  SQ_ASSERT_OK_AND_ASSIGN(
+      auto from_r,
+      h->iup().PrepareTempRequests(LeafDeltas(
+          "R", "R(r1, r2, r3, r4)",
+          {{Tuple({4, 300, 44, 100}), 1},
+           {Tuple({1, 100, 11, 100}), -1},
+           {Tuple({5, 700, 55, 999}), 1}})));  // filtered out by R'
+  EXPECT_EQ(RequestStrings(from_r),
+            (std::vector<std::string>{"(S', [s1,s2], (s1 IN (100, 300)))"}));
+  // ΔS requests R' restricted to the s1 keys of ΔS' (the s3 < 50 rows).
+  SQ_ASSERT_OK_AND_ASSIGN(
+      auto from_s,
+      h->iup().PrepareTempRequests(LeafDeltas(
+          "S", "S(s1, s2, s3)",
+          {{Tuple({200, 7, 20}), 1}, {Tuple({900, 9, 99}), 1}})));
+  EXPECT_EQ(RequestStrings(from_s),
+            (std::vector<std::string>{"(R', [r1,r2,r3], (r2 IN (200)))"}));
+}
+
+TEST_F(Figure1Fixture, RestrictionDropsNullKeys) {
+  auto vdp = BuildFigure1Vdp();
+  ASSERT_TRUE(vdp.ok());
+  auto h = MakeHarness(AnnotationExample23(*vdp));
+  // NULL join keys never join: a mixed delta keeps only the real key, an
+  // all-NULL delta restricts the sibling to nothing.
+  SQ_ASSERT_OK_AND_ASSIGN(
+      auto mixed,
+      h->iup().PrepareTempRequests(LeafDeltas(
+          "R", "R(r1, r2, r3, r4)",
+          {{Tuple({4, Value(), 44, 100}), 1},
+           {Tuple({5, 100, 55, 100}), 1}})));
+  EXPECT_EQ(RequestStrings(mixed),
+            (std::vector<std::string>{"(S', [s1,s2], (s1 IN (100)))"}));
+  SQ_ASSERT_OK_AND_ASSIGN(
+      auto all_null,
+      h->iup().PrepareTempRequests(LeafDeltas(
+          "R", "R(r1, r2, r3, r4)", {{Tuple({4, Value(), 44, 100}), 1}})));
+  EXPECT_EQ(RequestStrings(all_null),
+            (std::vector<std::string>{"(S', [s1,s2], (s1 IN ()))"}));
+  // End to end: NULL-keyed rows propagate exactly (they join nothing).
+  SQ_ASSERT_OK(h->CommitAndPropagate("DB1", 1,
+                                     InsertR(Tuple({4, Value(), 44, 100})))
+                   .status());
+  SQ_ASSERT_OK(h->VerifyRepos());
+  SQ_ASSERT_OK(
+      h->CommitAndPropagate("DB2", 2, InsertS(Tuple({500, 8, 5}))).status());
+  SQ_ASSERT_OK(h->CommitAndPropagate("DB1", 3,
+                                     DeleteR(Tuple({4, Value(), 44, 100})))
+                   .status());
+  SQ_ASSERT_OK(h->VerifyRepos());
+}
+
+TEST_F(Figure1Fixture, RestrictedPropagationMatchesRecompute) {
+  auto vdp = BuildFigure1Vdp();
+  ASSERT_TRUE(vdp.ok());
+  auto h = MakeHarness(AnnotationExample23(*vdp));
+  // Inserts and deletes on both sides, joining and non-joining keys; each
+  // poll now reads only the sibling rows under the delta's keys.
+  SQ_ASSERT_OK_AND_ASSIGN(
+      IupStats ins, h->CommitAndPropagate("DB1", 1,
+                                          InsertR(Tuple({4, 100, 44, 100}))));
+  EXPECT_EQ(ins.polled_tuples, 1u);  // S(100, 5, 10) only
+  SQ_ASSERT_OK(
+      h->CommitAndPropagate("DB2", 2, InsertS(Tuple({200, 7, 20}))).status());
+  SQ_ASSERT_OK(
+      h->CommitAndPropagate("DB1", 3, InsertR(Tuple({6, 555, 66, 100})))
+          .status());
+  SQ_ASSERT_OK(
+      h->CommitAndPropagate("DB2", 4, DeleteS(Tuple({100, 5, 10}))).status());
+  SQ_ASSERT_OK(
+      h->CommitAndPropagate("DB1", 5, DeleteR(Tuple({2, 200, 22, 100})))
+          .status());
+  SQ_ASSERT_OK(h->VerifyRepos());
+}
+
+TEST_F(Figure1Fixture, Example61BatchRestrictsBothSiblings) {
+  // One batch carrying ΔR and ΔS (Example 6.1): each sibling is restricted
+  // by the other side's keys, and the new S row joins the new R row once.
+  auto vdp = BuildFigure1Vdp();
+  ASSERT_TRUE(vdp.ok());
+  auto h = MakeHarness(AnnotationExample23(*vdp));
+  MultiDelta dr = InsertR(Tuple({4, 300, 44, 100}));
+  SQ_ASSERT_OK(dr.Mutable("R", MakeSchema("R(r1, r2, r3, r4)"))
+                   ->AddDelete(Tuple({1, 100, 11, 100})));
+  MultiDelta ds = InsertS(Tuple({300, 8, 5}));
+  SQ_ASSERT_OK(ds.Mutable("S", MakeSchema("S(s1, s2, s3)"))
+                   ->AddInsert(Tuple({400, 9, 6})));
+  SQ_ASSERT_OK(db1_->Commit(1, dr));
+  SQ_ASSERT_OK(db2_->Commit(1, ds));
+  std::map<std::string, Delta> leaf_deltas;
+  leaf_deltas.emplace("R", *dr.Find("R"));
+  leaf_deltas.emplace("S", *ds.Find("S"));
+  SQ_ASSERT_OK_AND_ASSIGN(auto requests,
+                          h->iup().PrepareTempRequests(leaf_deltas));
+  EXPECT_EQ(RequestStrings(requests),
+            (std::vector<std::string>{"(S', [s1,s2], (s1 IN (100, 300)))",
+                                      "(R', [r1,r2,r3], (r2 IN (300, 400)))"}));
+  // Both sources' batches are in flight: polls see them, ECA rolls back.
+  Vap::CompensationFn comp =
+      [&](const std::string& source, const std::string& relation,
+          const Schema& schema) -> Result<Delta> {
+    Delta out(schema);
+    const MultiDelta& md = source == "DB1" ? dr : ds;
+    if (const Delta* d = md.Find(relation); d != nullptr) {
+      SQ_RETURN_IF_ERROR(out.SmashInPlace(*d));
+    }
+    return out;
+  };
+  SQ_ASSERT_OK(
+      h->iup().ProcessBatch(leaf_deltas, h->DirectPoll(), comp).status());
+  SQ_ASSERT_OK(h->VerifyRepos());
+  SQ_ASSERT_OK_AND_ASSIGN(const Relation* t, h->store().Repo("T"));
+  EXPECT_EQ(t->CountOf(Tuple({4, 300})), 1);
+  EXPECT_FALSE(t->Contains(Tuple({1, 100})));
+}
+
+TEST(RestrictionScopeTest, SelfJoinAndDifferenceRequestsStayUnrestricted) {
+  // R' occurs twice in P (a self-join), so its firing restricts nothing;
+  // G is a difference, whose presence reads are never restricted either.
+  VdpBuilder b;
+  b.Leaf("R", "DB1", "R", "R(a, b) key(a)");
+  b.Leaf("S", "DB2", "S", "S(c, d) key(c)");
+  b.Leaf("M", "DB3", "M", "M(a, z) key(a)");
+  b.LeafParent("R'", "R", {"a", "b"}, "");
+  b.LeafParent("S'", "S", {"c", "d"}, "");
+  b.LeafParent("M'", "M", {"a", "z"}, "");
+  b.Spj("P", {{"R'", {"a"}, ""}, {"R'", {"b"}, ""}, {"S'", {"c", "d"}, ""}},
+        {"", "b = c"}, {"a", "b", "d"}, "", /*exported=*/true);
+  b.Diff("G", {"R'", {"a"}, ""}, {"M'", {"a"}, ""}, /*exported=*/true);
+  auto vdp = b.Build();
+  ASSERT_TRUE(vdp.ok()) << vdp.status().ToString();
+  Annotation ann;
+  SQ_ASSERT_OK(ann.SetAll(*vdp, "R'", AttrMode::kVirtual));
+  SQ_ASSERT_OK(ann.SetAll(*vdp, "S'", AttrMode::kVirtual));
+  SQ_ASSERT_OK(ann.SetAll(*vdp, "M'", AttrMode::kVirtual));
+
+  SourceDb db1("DB1"), db2("DB2"), db3("DB3");
+  SQ_ASSERT_OK(db1.AddRelation("R", MakeSchema("R(a, b) key(a)")));
+  SQ_ASSERT_OK(db2.AddRelation("S", MakeSchema("S(c, d) key(c)")));
+  SQ_ASSERT_OK(db3.AddRelation("M", MakeSchema("M(a, z) key(a)")));
+  SQ_ASSERT_OK(db1.InsertTuple(0, "R", Tuple({1, 10})));
+  SQ_ASSERT_OK(db2.InsertTuple(0, "S", Tuple({10, 5})));
+  SQ_ASSERT_OK(db3.InsertTuple(0, "M", Tuple({1, 7})));
+  DirectHarness h(std::move(vdp).value(), ann,
+                  {{"DB1", &db1}, {"DB2", &db2}, {"DB3", &db3}});
+  SQ_ASSERT_OK(h.Load());
+
+  SQ_ASSERT_OK_AND_ASSIGN(
+      auto requests,
+      h.iup().PrepareTempRequests(
+          LeafDeltas("R", "R(a, b)", {{Tuple({2, 10}), 1}})));
+  // Exactly the term-select-only requests of unrestricted preparation.
+  EXPECT_EQ(RequestStrings(requests),
+            (std::vector<std::string>{"(R', [a])", "(M', [a])", "(R', [b])",
+                                      "(S', [c,d])"}));
+
+  MultiDelta md;
+  SQ_ASSERT_OK(
+      md.Mutable("R", MakeSchema("R(a, b)"))->AddInsert(Tuple({2, 10})));
+  SQ_ASSERT_OK(h.CommitAndPropagate("DB1", 1, md).status());
+  SQ_ASSERT_OK(h.VerifyRepos());
+}
+
 TEST(PreparationDedupTest, DuplicateRequestsDroppedAcrossParents) {
   // Two exported parents read the same virtual sibling S' with identical
   // terms: preparation used to hand Vap::Materialize one request per parent.

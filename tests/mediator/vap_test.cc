@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "mediator/query_processor.h"
+#include "relational/operators.h"
 #include "source/source_db.h"
 #include "testing/harness.h"
 #include "testing/util.h"
@@ -213,6 +214,50 @@ TEST_F(VapFixture, EagerCompensationRollsBackPendingUpdates) {
   // The compensated answer must NOT contain the pending tuple.
   EXPECT_FALSE(e->data.Contains(Tuple({1 + 6, 100, 77})));
   EXPECT_TRUE(e->data.Contains(Tuple({1, 100, 11})));
+}
+
+TEST_F(VapFixture, EagerCompensationRespectsKeySetRestriction) {
+  // A key-restricted temp must come out as σ_cond of the REFLECTED state:
+  // pending atoms inside the key set are rolled back, atoms outside it are
+  // not in the answer and must not be touched (rolling back the delete of
+  // s1 = 200 would resurrect a row the restriction excludes; rolling back
+  // the insert of s1 = 400 would drive the answer negative).
+  auto vdp = BuildFigure1Vdp();
+  ASSERT_TRUE(vdp.ok());
+  auto h = MakeHarness(AnnotationExample23(*vdp), VapStrategy::kChildBased);
+  const Schema s_schema = MakeSchema("S(s1, s2, s3)");
+  MultiDelta pending;
+  Delta* d = pending.Mutable("S", s_schema);
+  SQ_ASSERT_OK(d->AddInsert(Tuple({300, 7, 30})));   // inside
+  SQ_ASSERT_OK(d->AddInsert(Tuple({400, 8, 40})));   // outside
+  SQ_ASSERT_OK(d->AddDelete(Tuple({100, 5, 10})));   // inside
+  SQ_ASSERT_OK(d->AddDelete(Tuple({200, 6, 20})));   // outside
+  SQ_ASSERT_OK(db2_->Commit(1, pending));
+  Vap::CompensationFn comp = [&](const std::string& source,
+                                 const std::string& relation,
+                                 const Schema& schema) -> Result<Delta> {
+    Delta out(schema);
+    if (source == "DB2" && relation == "S") {
+      SQ_RETURN_IF_ERROR(out.SmashInPlace(*pending.Find("S")));
+    }
+    return out;
+  };
+  Expr::Ptr keys = Expr::In("s1", {100, 300, 500});
+  TempRequest req{"S'", {"s1", "s2"}, keys};
+  SQ_ASSERT_OK_AND_ASSIGN(TempStore temps,
+                          h->vap().Materialize({req}, h->DirectPoll(), comp));
+  const TempStore::Entry* e = temps.Find("S'");
+  ASSERT_NE(e, nullptr);
+  // Oracle: the reflected (time-0) S through S' and the key set.
+  SQ_ASSERT_OK_AND_ASSIGN(Relation reflected, db2_->StateAt("S", 0));
+  SQ_ASSERT_OK_AND_ASSIGN(
+      Relation selected,
+      OpSelect(reflected, Expr::And(Pred("s3 < 50"), keys)));
+  SQ_ASSERT_OK_AND_ASSIGN(
+      Relation want, OpProject(selected, {"s1", "s2"}, Semantics::kBag));
+  EXPECT_TRUE(e->data.EqualContents(want))
+      << e->data.ToString("got") << want.ToString("want");
+  EXPECT_EQ(Rows(e->data), "(100, 5) ");
 }
 
 TEST_F(VapFixture, WithoutCompensationPendingLeaks) {

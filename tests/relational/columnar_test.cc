@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -383,6 +384,99 @@ TEST(ColumnarKernelTest, SelectErrorParity) {
   auto res = OpSelect(r, Pred("a + s > 0"));
   EXPECT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// IN predicate: row evaluator vs columnar kernel
+// ---------------------------------------------------------------------------
+
+// A column mixing NULL, ints, integral and fractional doubles, -0.0 and
+// strings: every membership edge the restriction's key sets can meet.
+Relation MixedKeyRelation() {
+  Relation r(MakeSchema("R(k, n)"), Semantics::kBag);
+  std::vector<Value> keys = {Value(),  Value(5),    Value(5.0),  Value(6),
+                             Value(-0.0), Value(0), Value(2.5), Value("5"),
+                             Value("x"), Value(-7), Value(1e300)};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(r.Insert(Tuple({keys[i], static_cast<int64_t>(i)}),
+                         1 + static_cast<int64_t>(i % 3))
+                    .ok());
+  }
+  return r;
+}
+
+// Rows of \p batch that the row evaluator keeps under \p bound.
+std::vector<uint32_t> RowKeepSet(const BoundExpr& bound,
+                                 const ColumnBatch& batch) {
+  std::vector<uint32_t> keep;
+  for (size_t r = 0; r < batch.rows(); ++r) {
+    auto v = bound.EvalBool(batch.RowAt(r));
+    EXPECT_TRUE(v.ok()) << v.status().ToString();
+    if (v.ok() && *v) keep.push_back(static_cast<uint32_t>(r));
+  }
+  return keep;
+}
+
+TEST(InPredicateTest, MembershipSemantics) {
+  Expr::Ptr in = Expr::In("k", {Value(5), Value(-0.0), Value("x")});
+  SQ_ASSERT_OK_AND_ASSIGN(BoundExpr bound,
+                          BoundExpr::Bind(in, MakeSchema("R(k)")));
+  auto member = [&](Value v) {
+    auto r = bound.Eval(Tuple({std::move(v)}));
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->AsInt() : -1;
+  };
+  EXPECT_EQ(member(Value(5)), 1);
+  EXPECT_EQ(member(Value(5.0)), 1);    // cross-type numeric equality
+  EXPECT_EQ(member(Value(0)), 1);      // -0.0 == 0
+  EXPECT_EQ(member(Value(0.0)), 1);
+  EXPECT_EQ(member(Value("x")), 1);
+  EXPECT_EQ(member(Value("5")), 0);    // another type: not a member
+  EXPECT_EQ(member(Value(6)), 0);
+  EXPECT_EQ(member(Value()), 0);       // NULL is never a member
+  EXPECT_EQ(member(Value(std::nan(""))), 0);
+  // The empty list rejects everything without evaluating to NULL.
+  SQ_ASSERT_OK_AND_ASSIGN(
+      BoundExpr none, BoundExpr::Bind(Expr::In("k", {}), MakeSchema("R(k)")));
+  SQ_ASSERT_OK_AND_ASSIGN(Value v, none.Eval(Tuple({Value(5)})));
+  EXPECT_EQ(v, Value(0));
+}
+
+TEST(InPredicateTest, RowColumnarParity) {
+  Relation r = MixedKeyRelation();
+  ColumnBatch batch = ColumnBatch::FromRelation(r);
+  std::vector<int64_t> many;  // larger than the columnar MinRows default
+  for (int64_t i = -40; i < 40; ++i) many.push_back(i);
+  std::vector<Value> many_values(many.begin(), many.end());
+  std::vector<Expr::Ptr> conds = {
+      Expr::In("k", {Value(5)}),
+      Expr::In("k", {Value(5.0), Value(0.0)}),
+      Expr::In("k", {Value(-0.0)}),
+      Expr::In("k", {Value("5"), Value("x")}),
+      Expr::In("k", {Value(), Value(2.5)}),
+      Expr::In("k", {}),
+      Expr::In("k", many_values),
+      Expr::In("n", many_values),
+      Expr::Not(Expr::In("k", {Value(6), Value(-7)})),
+      Expr::Or(Expr::In("k", {Value(1e300)}), Pred("n = 0")),
+      Expr::And(Expr::In("n", {Value(1), Value(2), Value(3)}),
+                Expr::In("k", {Value(5), Value(6)})),
+  };
+  for (const auto& cond : conds) {
+    SQ_ASSERT_OK_AND_ASSIGN(BoundExpr bound,
+                            BoundExpr::Bind(cond, r.schema()));
+    SQ_ASSERT_OK_AND_ASSIGN(std::vector<uint32_t> vec,
+                            columnar::EvalPredicate(bound, batch));
+    EXPECT_EQ(vec, RowKeepSet(bound, batch)) << cond->ToString();
+    ExpectRelationParity([&] { return OpSelect(r, cond); });
+  }
+  ExpectDeltaParity([&]() -> Result<Delta> {
+    Delta d(r.schema());
+    SQ_RETURN_IF_ERROR(d.Add(Tuple({Value(5.0), 1}), -1));
+    SQ_RETURN_IF_ERROR(d.Add(Tuple({Value("x"), 2}), 2));
+    SQ_RETURN_IF_ERROR(d.Add(Tuple({Value(), 3}), 1));
+    return DeltaSelect(d, Expr::In("k", {Value(5), Value("x")}));
+  });
 }
 
 // ---------------------------------------------------------------------------

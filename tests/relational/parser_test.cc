@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "testing/util.h"
 
 namespace squirrel {
 namespace {
+
+using testing::Pred;
 
 TEST(ParserTest, PredicateBasics) {
   auto e = ParsePredicate("r4 = 100 AND s3 < 50");
@@ -115,6 +120,66 @@ TEST(ParserTest, AlgebraToStringRoundTrips) {
   auto again = ParseAlgebra((*e)->ToString());
   ASSERT_TRUE(again.ok()) << (*e)->ToString();
   EXPECT_EQ((*again)->ToString(), (*e)->ToString());
+}
+
+TEST(InPredicateTextTest, CanonicalRendering) {
+  // Sorted by Value order, deduplicated (the int form of 5/5.0 survives),
+  // NULL dropped, doubles kept recognisably double.
+  EXPECT_EQ(Expr::In("s1", {3, 1, Value(), 2, 1})->ToString(),
+            "(s1 IN (1, 2, 3))");
+  EXPECT_EQ(Expr::In("a", {Value(5.0), Value(5)})->ToString(), "(a IN (5))");
+  EXPECT_EQ(Expr::In("a", {Value(5.0)})->ToString(), "(a IN (5.0))");
+  EXPECT_EQ(Expr::In("a", {Value(0.0), Value(-0.0)})->ToString(),
+            "(a IN (-0.0))");
+  EXPECT_EQ(Expr::In("a", {Value("it's"), Value(-2)})->ToString(),
+            "(a IN (-2, 'it''s'))");
+  EXPECT_EQ(Expr::In("a", {})->ToString(), "(a IN ())");
+}
+
+TEST(InPredicateTextTest, ToStringParseRoundTripsAndEquals) {
+  std::vector<Expr::Ptr> exprs = {
+      Expr::In("s1", {7}),
+      Expr::In("s1", {}),
+      Expr::In("k", {Value(std::numeric_limits<int64_t>::min()),
+                     Value(std::numeric_limits<int64_t>::max()), Value(0)}),
+      Expr::In("k", {Value(0.1), Value(5.0), Value(-0.0), Value(1e300),
+                     Value(-2.5e-7), Value(1e-320), Value(123456789.125)}),
+      Expr::In("k", {Value("a b"), Value("'"), Value(""), Value("x''y")}),
+      Expr::In("k", {Value(1), Value(1.5), Value("1")}),
+      Expr::And(Pred("s3 < 50"), Expr::In("s1", {4, 2})),
+      Expr::Or(Expr::In("a", {1}), Expr::In("b", {Value(2.0)})),
+      Expr::Not(Expr::In("a", {Value("z")})),
+      Expr::Eq(Expr::In("a", {1}), Expr::Const(Value(0))),
+  };
+  for (const auto& e : exprs) {
+    const std::string text = e->ToString();
+    auto back = ParsePredicate(text);
+    ASSERT_TRUE(back.ok()) << text << ": " << back.status().ToString();
+    EXPECT_TRUE((*back)->Equals(*e)) << text << " vs " << (*back)->ToString();
+    EXPECT_EQ((*back)->ToString(), text);
+  }
+  // A double keeps its type through the text form (5.0 is not 5).
+  auto five = ParsePredicate(Expr::In("a", {Value(5.0)})->ToString());
+  ASSERT_TRUE(five.ok());
+  EXPECT_EQ((*five)->in_list()->values()[0].type(), ValueType::kDouble);
+  EXPECT_FALSE((*five)->Equals(*Expr::In("a", {5})));
+}
+
+TEST(InPredicateTextTest, ParsesHandWrittenForms) {
+  auto e = ParsePredicate("s3 < 50 and s1 in (3, -1, 3, 'x', null)");
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  std::vector<Expr::Ptr> clauses = ConjunctiveClauses(*e);
+  ASSERT_EQ(clauses.size(), 2u);
+  EXPECT_EQ(clauses[1]->ToString(), "(s1 IN (-1, 3, 'x'))");
+  auto exp = ParsePredicate("a IN (1e3, 2.5E-2)");
+  ASSERT_TRUE(exp.ok()) << exp.status().ToString();
+  EXPECT_TRUE((*exp)->Equals(*Expr::In("a", {Value(1000.0), Value(0.025)})));
+  EXPECT_FALSE(ParsePredicate("a IN 5").ok());
+  EXPECT_FALSE(ParsePredicate("a IN (1,)").ok());
+  EXPECT_FALSE(ParsePredicate("a IN (b)").ok());
+  EXPECT_FALSE(ParsePredicate("a IN (-'x')").ok());
+  EXPECT_FALSE(ParsePredicate("a + 1 IN (1)").ok());
+  EXPECT_FALSE(ParsePredicate("a IN (1").ok());
 }
 
 TEST(ParserTest, SchemaDeclBasics) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "relational/operators.h"
 #include "source/announcer.h"
 #include "source/source_db.h"
 #include "testing/util.h"
@@ -76,6 +77,88 @@ TEST(SourceDbTest, QueryProjectsAndSelects) {
   SQ_ASSERT_OK_AND_ASSIGN(Relation out,
                           db.Query("R", {"a"}, Pred("b > 15")));
   EXPECT_EQ(testing::Rows(out), "(2) ");
+}
+
+// The scan oracle: π_attrs σ_cond over the current extent, never indexed.
+Relation ScanQuery(const SourceDb& db, const std::string& rel,
+                   const std::vector<std::string>& attrs,
+                   const Expr::Ptr& cond) {
+  auto current = db.Current(rel);
+  EXPECT_TRUE(current.ok());
+  auto selected = OpSelect(**current, cond);
+  EXPECT_TRUE(selected.ok()) << selected.status().ToString();
+  auto projected = OpProject(*selected, attrs, Semantics::kBag);
+  EXPECT_TRUE(projected.ok()) << projected.status().ToString();
+  return std::move(projected).value();
+}
+
+void ExpectKeyedEqualsScan(const SourceDb& db, const std::string& label) {
+  const std::vector<std::pair<std::vector<std::string>, Expr::Ptr>> polls = {
+      {{"a", "b"}, Expr::In("a", {1, 3, 5, 40, 999})},
+      {{"b"}, Expr::In("b", {Value(0), Value(2.0), Value(4)})},
+      {{"a", "c"}, Expr::And(Pred("c < 50"), Expr::In("b", {1, 3}))},
+      {{"c"}, Expr::And(Expr::In("a", {2, 4, 6, 8}), Expr::In("b", {0, 2}))},
+      {{"a"}, Expr::In("b", {})},
+      // Not top-level: scanned, same answer.
+      {{"a"}, Expr::Or(Expr::In("a", {1}), Pred("b = 2"))},
+  };
+  for (const auto& [attrs, cond] : polls) {
+    SQ_ASSERT_OK_AND_ASSIGN(Relation keyed, db.Query("R", attrs, cond));
+    Relation scanned = ScanQuery(db, "R", attrs, cond);
+    EXPECT_TRUE(keyed.EqualContents(scanned))
+        << label << " " << cond->ToString() << "\nkeyed: "
+        << keyed.ToString() << "scanned: " << scanned.ToString();
+  }
+}
+
+TEST(SourceKeyIndexTest, KeyedQueryEqualsScanAcrossCommitsAndRestart) {
+  SourceDb db("DB");
+  const Schema schema = MakeSchema("R(a, b, c) key(a)");
+  SQ_ASSERT_OK(db.AddRelation("R", schema));
+  Time now = 1.0;
+  for (int i = 0; i < 60; ++i) {
+    SQ_ASSERT_OK(db.InsertTuple(now, "R", Tuple({i, i % 5, i * 3})));
+  }
+  // First keyed queries build indexes on both a and b.
+  ExpectKeyedEqualsScan(db, "seeded");
+  // Deletes and inserts in one commit (b collides across rows), then
+  // single-tuple commits, all maintained by Commit.
+  MultiDelta md;
+  Delta* d = md.Mutable("R", schema);
+  SQ_ASSERT_OK(d->AddDelete(Tuple({1, 1, 3})));
+  SQ_ASSERT_OK(d->AddDelete(Tuple({40, 0, 120})));
+  SQ_ASSERT_OK(d->AddInsert(Tuple({999, 2, 7})));
+  SQ_ASSERT_OK(d->AddInsert(Tuple({1000, Value(2.0), 8})));
+  SQ_ASSERT_OK(db.Commit(now += 1, md));
+  ExpectKeyedEqualsScan(db, "after batch");
+  SQ_ASSERT_OK(db.DeleteTuple(now += 1, "R", Tuple({3, 3, 9})));
+  SQ_ASSERT_OK(db.InsertTuple(now += 1, "R", Tuple({3, 4, 10})));
+  SQ_ASSERT_OK(db.InsertTuple(now += 1, "R", Tuple({Value(), 4, 11})));
+  ExpectKeyedEqualsScan(db, "after singles");
+  // A rejected (redundant) commit leaves the answers exact.
+  EXPECT_FALSE(db.InsertTuple(now += 1, "R", Tuple({3, 4, 10})).ok());
+  ExpectKeyedEqualsScan(db, "after rejected commit");
+  // Restart keeps the durable state, so the indexes stay valid.
+  db.Restart(now += 1);
+  ExpectKeyedEqualsScan(db, "after restart");
+  SQ_ASSERT_OK(db.DeleteTuple(now += 1, "R", Tuple({5, 0, 15})));
+  ExpectKeyedEqualsScan(db, "after restart and delete");
+}
+
+TEST(SourceKeyIndexTest, KeyedQueryEvaluatesOnlyCandidates) {
+  // A row outside the key set is never evaluated, so its type error cannot
+  // fail the keyed poll; a scan of the same condition does fail.
+  SourceDb db("DB");
+  SQ_ASSERT_OK(db.AddRelation("R", MakeSchema("R(a, b) key(a)")));
+  SQ_ASSERT_OK(db.InsertTuple(1.0, "R", Tuple({1, 10})));
+  SQ_ASSERT_OK(db.InsertTuple(1.0, "R", Tuple({2, "bad"})));
+  Expr::Ptr cond = Expr::And(Pred("b < 50"), Expr::In("a", {1}));
+  SQ_ASSERT_OK_AND_ASSIGN(Relation keyed, db.Query("R", {"a"}, cond));
+  EXPECT_EQ(testing::Rows(keyed), "(1) ");
+  EXPECT_FALSE(db.Query("R", {"a"}, Pred("b < 50")).ok());
+  EXPECT_FALSE(
+      db.Query("R", {"a"}, Expr::And(Pred("b < 50"), Expr::In("a", {2})))
+          .ok());
 }
 
 TEST(SourceDbTest, CommitListenersInvokedInOrder) {
