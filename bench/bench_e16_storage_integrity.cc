@@ -17,7 +17,7 @@
 // recovered states must Encode() byte-identical to it — a framing toggle
 // must never change WHAT recovers, only how damage would be detected.
 //
-// Standalone driver in the E13/E14/E15 mold: emits a JSON report (default
+// Standalone benchmark in the E13/E14 mold: emits a JSON report (default
 // BENCH_pr8.json) that bench/run_bench.sh commits as the PR baseline and
 // that the SQUIRREL_BENCH_SMOKE ctest validates.
 //

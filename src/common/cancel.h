@@ -4,13 +4,15 @@
 // abandoned (a deadline timer, the memory-budget hard limit, a caller) calls
 // Cancel(reason); the working code checks the token at batch boundaries —
 // between VAP build steps, between QP phases, and every kCancelCheckRows
-// rows inside the columnar kernels — and propagates the typed reason as an
-// ordinary error Status. Nothing is interrupted preemptively: a check site
-// that is never reached simply finishes its (bounded) unit of work.
+// rows inside the relational row loops (the vectorized select, join probes
+// and nested loops, the delta join, Delta::Between) — and propagates the
+// typed reason as an ordinary error Status. Nothing is interrupted
+// preemptively: a check site that is never reached simply finishes its
+// (bounded) unit of work.
 //
 // Plumbing is thread-local rather than parameter-threading: the mediator
 // installs the active query's token with ScopedCancelScope around execution,
-// and deep callees (columnar kernels, the VAP assembly loop) consult
+// and deep callees (relational operators, the VAP assembly loop) consult
 // CurrentCancelToken(). The IUP never installs a token, so update
 // transactions can never be cancelled by the budget or a deadline — only
 // queries are sheddable work.
@@ -73,6 +75,13 @@ inline Status CheckCancel() {
   CancelToken* t = CurrentCancelToken();
   if (t == nullptr || !t->cancelled()) return Status::OK();
   return t->status();
+}
+
+/// CheckCancel for tight row loops: checks on the first call and then on
+/// every kCancelCheckRows-th, counting calls in \p *rows.
+inline Status CheckCancelEvery(size_t* rows) {
+  if ((*rows)++ % kCancelCheckRows != 0) return Status::OK();
+  return CheckCancel();
 }
 
 /// RAII installation of \p token as this thread's current cancel scope;

@@ -13,10 +13,9 @@
 //     instead of a silent OOM. The IUP never installs a token, so update
 //     propagation is never the victim.
 //
-// Installation mirrors columnar::ScopedColumnarMode: a process-global slot,
-// null by default (every charge site is a no-op then), set for the duration
-// of a run by ScopedMemoryBudget. Counters are atomics so worker-pool
-// threads can charge concurrently.
+// Installation is a process-global slot, null by default (every charge site
+// is a no-op then), set for the duration of a run by ScopedMemoryBudget.
+// Counters are atomics so worker-pool threads can charge concurrently.
 
 #ifndef SQUIRREL_COMMON_MEMORY_BUDGET_H_
 #define SQUIRREL_COMMON_MEMORY_BUDGET_H_

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/cancel.h"
 #include "common/strings.h"
-#include "relational/columnar.h"
 
 namespace squirrel {
 
@@ -90,16 +90,15 @@ Result<Delta> Delta::Between(const Relation& from, const Relation& to) {
     return Status::InvalidArgument(
         "Delta::Between on relations with different schemas");
   }
-  if (columnar::ShouldUse(
-          std::max(from.DistinctSize(), to.DistinctSize()))) {
-    return columnar::Between(from, to);
-  }
   Delta out(to.schema());
   Status st = Status::OK();
+  size_t checked = 0;  // CheckCancelEvery's row counter
   to.ForEach([&](const Tuple& t, int64_t c) {
+    if (st.ok()) st = CheckCancelEvery(&checked);
     if (st.ok()) st = out.Add(t, c - from.CountOf(t));
   });
   from.ForEach([&](const Tuple& t, int64_t c) {
+    if (st.ok()) st = CheckCancelEvery(&checked);
     if (st.ok() && !to.Contains(t)) st = out.Add(t, -c);
   });
   if (!st.ok()) return st;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/cancel.h"
 #include "relational/columnar.h"
 
 namespace squirrel {
@@ -9,9 +10,6 @@ namespace squirrel {
 Result<Delta> DeltaSelect(const Delta& delta, const Expr::Ptr& cond) {
   Expr::Ptr c = cond ? cond : Expr::True();
   if (c->IsTrueLiteral()) return delta;
-  if (columnar::ShouldUse(delta.AtomCount())) {
-    return columnar::SelectDelta(delta, c);
-  }
   SQ_ASSIGN_OR_RETURN(BoundExpr bound, BoundExpr::Bind(c, delta.schema()));
   Delta out(delta.schema());
   Status st = Status::OK();
@@ -30,9 +28,6 @@ Result<Delta> DeltaSelect(const Delta& delta, const Expr::Ptr& cond) {
 
 Result<Delta> DeltaProject(const Delta& delta,
                            const std::vector<std::string>& attrs) {
-  if (columnar::ShouldUse(delta.AtomCount())) {
-    return columnar::ProjectDelta(delta, attrs);
-  }
   SQ_ASSIGN_OR_RETURN(Schema out_schema, delta.schema().Project(attrs));
   std::vector<size_t> positions;
   positions.reserve(attrs.size());
@@ -49,7 +44,9 @@ Result<Delta> DeltaProject(const Delta& delta,
 namespace {
 
 // Shared core for Δ⋈R and R⋈Δ: iterate delta atoms, probe the relation,
-// emit concatenated tuples with multiplied counts.
+// emit concatenated tuples with multiplied counts. Unlike OpJoin, every
+// joined tuple re-checks the FULL condition (equi conjuncts included), so
+// NULL keys, which PackedJoinTable matches, drop here.
 Result<Delta> JoinDeltaWithRelation(const Delta& delta, const Relation& rel,
                                     const Expr::Ptr& cond, bool delta_left) {
   const Schema& ls = delta_left ? delta.schema() : rel.schema();
@@ -63,6 +60,7 @@ Result<Delta> JoinDeltaWithRelation(const Delta& delta, const Relation& rel,
   JoinConditionParts parts = SplitJoinCondition(c, ls, rs);
   Delta out(std::move(out_schema));
   Status st = Status::OK();
+  size_t checked = 0;  // CheckCancelEvery's row counter
 
   auto emit = [&](const Tuple& lt, int64_t lc, const Tuple& rt, int64_t rc) {
     if (!st.ok()) return;
@@ -77,51 +75,49 @@ Result<Delta> JoinDeltaWithRelation(const Delta& delta, const Relation& rel,
     }
     st = out.Add(std::move(joined), lc * rc);
   };
+  auto emit_pair = [&](const Tuple& dt, int64_t dc, const Tuple& rt,
+                       int64_t rc) {
+    if (delta_left) {
+      emit(dt, dc, rt, rc);
+    } else {
+      emit(rt, rc, dt, dc);
+    }
+  };
 
   if (!parts.equi.empty()) {
-    if (columnar::ShouldUse(
-            std::max(delta.AtomCount(), rel.DistinctSize()))) {
-      return columnar::JoinDeltaRelation(delta, rel, c, delta_left);
-    }
-    // Build a hash table over the relation keyed by its equi attributes.
+    // Build the packed-key table over the relation's equi attributes.
     std::vector<size_t> rel_pos, delta_pos;
-    const Schema& dsch = delta.schema();
-    const Schema& rsch = rel.schema();
     for (const auto& p : parts.equi) {
-      const std::string& l = p.left_attr;   // in ls
-      const std::string& r = p.right_attr;  // in rs
-      const std::string& in_delta = delta_left ? l : r;
-      const std::string& in_rel = delta_left ? r : l;
-      delta_pos.push_back(*dsch.IndexOf(in_delta));
-      rel_pos.push_back(*rsch.IndexOf(in_rel));
+      const std::string& in_delta = delta_left ? p.left_attr : p.right_attr;
+      const std::string& in_rel = delta_left ? p.right_attr : p.left_attr;
+      delta_pos.push_back(*delta.schema().IndexOf(in_delta));
+      rel_pos.push_back(*rel.schema().IndexOf(in_rel));
     }
-    std::unordered_map<Tuple, std::vector<std::pair<const Tuple*, int64_t>>,
-                       TupleHash>
-        table;
+    columnar::PackedJoinTable table(parts.equi.size());
+    std::vector<const Tuple*> rel_rows;
+    std::vector<int64_t> rel_counts;
+    rel_rows.reserve(rel.DistinctSize());
+    rel_counts.reserve(rel.DistinctSize());
     rel.ForEach([&](const Tuple& t, int64_t count) {
-      table[t.Project(rel_pos)].emplace_back(&t, count);
+      table.AddBuildRow(t, rel_pos);
+      rel_rows.push_back(&t);
+      rel_counts.push_back(count);
     });
+    table.Finalize();
     delta.ForEach([&](const Tuple& dt, int64_t dc) {
+      if (st.ok()) st = CheckCancelEvery(&checked);
       if (!st.ok()) return;
-      auto it = table.find(dt.Project(delta_pos));
-      if (it == table.end()) return;
-      for (const auto& [rt, rc] : it->second) {
-        if (delta_left) {
-          emit(dt, dc, *rt, rc);
-        } else {
-          emit(*rt, rc, dt, dc);
-        }
+      for (int32_t r = table.ProbeRow(dt, delta_pos); r >= 0;
+           r = table.NextInChain(r)) {
+        emit_pair(dt, dc, *rel_rows[r], rel_counts[r]);
       }
     });
   } else {
     delta.ForEach([&](const Tuple& dt, int64_t dc) {
       if (!st.ok()) return;
       rel.ForEach([&](const Tuple& rt, int64_t rc) {
-        if (delta_left) {
-          emit(dt, dc, rt, rc);
-        } else {
-          emit(rt, rc, dt, dc);
-        }
+        if (st.ok()) st = CheckCancelEvery(&checked);
+        emit_pair(dt, dc, rt, rc);
       });
     });
   }

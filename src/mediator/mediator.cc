@@ -8,7 +8,6 @@
 #include "common/strings.h"
 #include "delta/delta_algebra.h"
 #include "mediator/durability/serialize.h"
-#include "relational/columnar.h"
 #include "relational/operators.h"
 
 namespace squirrel {
@@ -173,7 +172,6 @@ Status Mediator::Start() {
   if (started_) return Status::FailedPrecondition("mediator already started");
   started_ = true;
   view_init_time_ = scheduler_->Now();
-  columnar::SetEnabled(options_.columnar);
 
   // Wire channels, announcers (active sources), and poll responders.
   for (auto& rt : sources_) {

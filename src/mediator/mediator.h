@@ -125,13 +125,6 @@ struct MediatorOptions {
   /// Nonzero: perturb worker scheduling (seeded yields/sleeps) to shake
   /// out ordering assumptions under TSan. 0 = no perturbation.
   uint64_t iup_perturb_seed = 0;
-  // ---- execution engine (PR: columnar batch execution) ----
-  /// Route large-enough select/project/join/delta kernels through the
-  /// columnar batch engine (see relational/columnar.h). The row-at-a-time
-  /// operators remain the oracle; results are identical by construction
-  /// and the equivalence sweep proves it byte-for-byte per seed. Applied
-  /// process-wide at Start (the engine switch is global).
-  bool columnar = true;
   // ---- overload protection (DESIGN.md §15) ----
   /// Per-class admission limits. All-zero (the default) disables the gate.
   AdmissionOptions admission;

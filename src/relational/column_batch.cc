@@ -1,6 +1,7 @@
 #include "relational/column_batch.h"
 
 #include <cstring>
+#include <utility>
 
 namespace squirrel {
 
@@ -11,12 +12,6 @@ uint64_t DoubleBits(double d) {
   static_assert(sizeof(u) == sizeof(d));
   std::memcpy(&u, &d, sizeof(u));
   return u;
-}
-
-double BitsDouble(uint64_t u) {
-  double d;
-  std::memcpy(&d, &u, sizeof(d));
-  return d;
 }
 
 /// Approximate per-entry overhead of an interned string: the std::string
@@ -50,15 +45,18 @@ std::optional<uint32_t> StringArena::Find(std::string_view s) const {
   return it->second;
 }
 
-ColumnBatch::ColumnBatch(Schema schema, std::shared_ptr<StringArena> arena)
-    : schema_(std::move(schema)),
-      columns_(schema_.size()),
-      arena_(arena ? std::move(arena) : std::make_shared<StringArena>()) {}
+ColumnBatch::ColumnBatch(size_t num_columns, std::vector<size_t> built,
+                         size_t rows)
+    : columns_(num_columns), built_(std::move(built)) {
+  for (size_t c : built_) {
+    columns_[c].tags.reserve(rows);
+    columns_[c].bits.reserve(rows);
+  }
+}
 
-void ColumnBatch::AppendRow(const Tuple& t, int64_t count,
-                            const std::vector<size_t>* only) {
-  counts_.push_back(count);
-  auto write = [&](size_t c) {
+void ColumnBatch::AppendRow(const Tuple& t) {
+  ++rows_;
+  for (size_t c : built_) {
     Column& col = columns_[c];
     const Value& v = t.at(c);
     switch (v.type()) {
@@ -76,106 +74,11 @@ void ColumnBatch::AppendRow(const Tuple& t, int64_t count,
         break;
       case ValueType::kString:
         col.tags.push_back(kTagString);
+        if (!arena_) arena_ = std::make_unique<StringArena>();
         col.bits.push_back(arena_->Intern(v.AsString()));
         break;
     }
-  };
-  if (only != nullptr) {
-    for (size_t c : *only) write(c);
-  } else {
-    for (size_t c = 0; c < columns_.size(); ++c) write(c);
   }
-}
-
-ColumnBatch ColumnBatch::FromRelation(const Relation& rel,
-                                      const std::vector<size_t>* only) {
-  ColumnBatch out(rel.schema());
-  out.counts_.reserve(rel.DistinctSize());
-  size_t ncols = only ? only->size() : rel.schema().size();
-  auto reserve = [&](size_t c) {
-    out.columns_[c].tags.reserve(rel.DistinctSize());
-    out.columns_[c].bits.reserve(rel.DistinctSize());
-  };
-  for (size_t i = 0; i < ncols; ++i) reserve(only ? (*only)[i] : i);
-  rel.ForEach(
-      [&](const Tuple& t, int64_t count) { out.AppendRow(t, count, only); });
-  return out;
-}
-
-ColumnBatch ColumnBatch::FromDelta(const Delta& delta,
-                                   const std::vector<size_t>* only) {
-  ColumnBatch out(delta.schema());
-  out.counts_.reserve(delta.AtomCount());
-  delta.ForEach(
-      [&](const Tuple& t, int64_t count) { out.AppendRow(t, count, only); });
-  return out;
-}
-
-Value ColumnBatch::ValueAt(size_t col, size_t row) const {
-  const Column& c = columns_[col];
-  switch (c.tags[row]) {
-    case kTagNull:
-      return Value();
-    case kTagInt:
-      return Value(static_cast<int64_t>(c.bits[row]));
-    case kTagDouble:
-      return Value(BitsDouble(c.bits[row]));
-    default:
-      return Value(arena_->Get(static_cast<uint32_t>(c.bits[row])));
-  }
-}
-
-Tuple ColumnBatch::RowAt(size_t row) const {
-  std::vector<Value> values;
-  values.reserve(columns_.size());
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    values.push_back(ValueAt(c, row));
-  }
-  return Tuple(std::move(values));
-}
-
-Result<Relation> ColumnBatch::ToRelation(Semantics semantics) const {
-  Relation out(schema_, semantics);
-  for (size_t r = 0; r < rows(); ++r) {
-    SQ_RETURN_IF_ERROR(out.Insert(RowAt(r), counts_[r]));
-  }
-  return out;
-}
-
-Result<Delta> ColumnBatch::ToDelta() const {
-  Delta out(schema_);
-  for (size_t r = 0; r < rows(); ++r) {
-    SQ_RETURN_IF_ERROR(out.Add(RowAt(r), counts_[r]));
-  }
-  return out;
-}
-
-ColumnBatch ColumnBatch::GatherRows(const std::vector<uint32_t>& sel) const {
-  ColumnBatch out(schema_, arena_);
-  out.counts_.reserve(sel.size());
-  for (uint32_t r : sel) out.counts_.push_back(counts_[r]);
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    const Column& in = columns_[c];
-    if (in.tags.empty() && rows() != 0) continue;  // unbuilt column
-    Column& col = out.columns_[c];
-    col.tags.reserve(sel.size());
-    col.bits.reserve(sel.size());
-    for (uint32_t r : sel) {
-      col.tags.push_back(in.tags[r]);
-      col.bits.push_back(in.bits[r]);
-    }
-  }
-  return out;
-}
-
-ColumnBatch ColumnBatch::ProjectColumns(const std::vector<size_t>& positions,
-                                        Schema out_schema) const {
-  ColumnBatch out(std::move(out_schema), arena_);
-  out.counts_ = counts_;
-  out.columns_.clear();
-  out.columns_.reserve(positions.size());
-  for (size_t p : positions) out.columns_.push_back(columns_[p]);
-  return out;
 }
 
 }  // namespace squirrel

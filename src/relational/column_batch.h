@@ -1,14 +1,11 @@
-// Columnar batches: the storage half of the columnar execution engine.
+// Column batches: the input layout of the vectorized predicate that
+// OpSelect runs (columnar.h).
 //
-// A ColumnBatch decomposes a Relation (or Delta) into per-attribute typed
-// column vectors — one tag byte and one 64-bit payload per cell — plus a
-// signed multiplicity vector. String payloads are ids into an arena that
+// A ColumnBatch holds the columns a predicate references, one tag byte and
+// one 64-bit payload per cell. String payloads are ids into an arena that
 // interns each distinct string once, so equality over string cells is id
-// equality and a gather never copies characters. Batches are value types
-// that share their arena through a shared_ptr, which keeps row gathers and
-// column projections cheap and keeps lifetimes correct when a batch built
-// from a COW snapshot Relation outlives the kernel call that made it (the
-// arena owns its characters; nothing points back into the Relation).
+// equality. The arena owns its characters; nothing points back into the
+// source Relation.
 //
 // The cell encoding mirrors Value's equality exactly (see columnar.h's
 // PackedJoinTable for the join-key normalization built on top of it):
@@ -16,8 +13,6 @@
 //   kInt    -> bits = the int64 payload
 //   kDouble -> bits = the double, bit-cast
 //   kString -> bits = arena id
-// Conversions back to Relation/Delta rebuild ordinary Tuples, so the rest
-// of the engine never needs to know batches exist.
 
 #ifndef SQUIRREL_RELATIONAL_COLUMN_BATCH_H_
 #define SQUIRREL_RELATIONAL_COLUMN_BATCH_H_
@@ -32,9 +27,7 @@
 #include <vector>
 
 #include "common/memory_budget.h"
-#include "common/status.h"
-#include "delta/delta.h"
-#include "relational/relation.h"
+#include "relational/tuple.h"
 
 namespace squirrel {
 
@@ -96,78 +89,30 @@ struct Column {
   }
 };
 
-/// \brief A Relation or Delta decomposed into columns.
+/// \brief Rows decomposed into columns, built row by row with AppendRow.
 ///
-/// Rows keep the multiplicity (Relation) or signed count (Delta) they had
-/// in the source map; row order is the source map's iteration order, which
-/// is irrelevant to correctness because every consumer rebuilds an unordered
-/// multiplicity map or renders through SortedRows.
-///
-/// A batch may be built over a subset of columns (\p only in FromRelation /
-/// FromDelta): unbuilt columns have empty vectors and must not be read.
+/// Only the built columns are materialized; the others have empty vectors
+/// and must not be read.
 class ColumnBatch {
  public:
-  ColumnBatch() = default;
-  explicit ColumnBatch(Schema schema,
-                       std::shared_ptr<StringArena> arena = nullptr);
+  /// A batch of \p num_columns columns that builds the columns \p built,
+  /// with room reserved for \p rows rows.
+  ColumnBatch(size_t num_columns, std::vector<size_t> built, size_t rows);
 
-  /// Decomposes \p rel. \p only, when non-null, lists the column positions
-  /// to materialize (others stay empty).
-  static ColumnBatch FromRelation(const Relation& rel,
-                                  const std::vector<size_t>* only = nullptr);
-
-  /// Decomposes \p delta (signed counts).
-  static ColumnBatch FromDelta(const Delta& delta,
-                               const std::vector<size_t>* only = nullptr);
-
-  /// Rebuilds a Relation with \p semantics. All columns must be built and
-  /// all counts positive.
-  Result<Relation> ToRelation(Semantics semantics) const;
-
-  /// Rebuilds a Delta (signed counts). All columns must be built.
-  Result<Delta> ToDelta() const;
-
-  const Schema& schema() const { return schema_; }
-  size_t rows() const { return counts_.size(); }
+  size_t rows() const { return rows_; }
   size_t cols() const { return columns_.size(); }
   const Column& column(size_t i) const { return columns_[i]; }
-  const std::vector<int64_t>& counts() const { return counts_; }
-  StringArena* arena() const { return arena_.get(); }
-  const std::shared_ptr<StringArena>& arena_ptr() const { return arena_; }
+  /// The arena string ids index into; null until a string is appended.
+  const StringArena* arena() const { return arena_.get(); }
 
-  /// The cell (\p col, \p row) as a Value (strings copied out of the arena).
-  Value ValueAt(size_t col, size_t row) const;
-
-  /// Row \p row as a Tuple (all columns must be built).
-  Tuple RowAt(size_t row) const;
-
-  /// Appends \p t with multiplicity \p count, interning strings. When
-  /// \p only is non-null, writes just those columns.
-  void AppendRow(const Tuple& t, int64_t count,
-                 const std::vector<size_t>* only = nullptr);
-
-  /// New batch containing rows \p sel (in that order); shares this batch's
-  /// arena, so string ids stay valid.
-  ColumnBatch GatherRows(const std::vector<uint32_t>& sel) const;
-
-  /// New batch whose columns are this batch's \p positions (in that order)
-  /// under \p out_schema; column payloads are copied, the arena is shared.
-  ColumnBatch ProjectColumns(const std::vector<size_t>& positions,
-                             Schema out_schema) const;
-
-  /// Mutable column access, for kernels that assemble a batch column-wise
-  /// (e.g. stitching gathered join sides into the concatenated schema).
-  Column* MutableColumn(size_t i) { return &columns_[i]; }
-
-  /// Declares \p n rows for a column-wise assembled batch. The counts are
-  /// set to 1 and carry no meaning for such batches.
-  void SetRowCount(size_t n) { counts_.assign(n, 1); }
+  /// Appends \p t's built columns, interning strings.
+  void AppendRow(const Tuple& t);
 
  private:
-  Schema schema_;
-  std::vector<Column> columns_;     // one per schema attribute
-  std::vector<int64_t> counts_;     // per row
-  std::shared_ptr<StringArena> arena_;
+  std::vector<Column> columns_;     // one per attribute
+  std::vector<size_t> built_;       // positions AppendRow writes
+  size_t rows_ = 0;
+  std::unique_ptr<StringArena> arena_;
 };
 
 }  // namespace squirrel

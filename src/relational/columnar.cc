@@ -1,7 +1,5 @@
 #include "relational/columnar.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -12,9 +10,6 @@ namespace squirrel {
 namespace columnar {
 
 namespace {
-
-std::atomic<bool> g_enabled{true};
-std::atomic<size_t> g_min_rows{32};
 
 uint64_t DoubleBits(double d) {
   uint64_t u;
@@ -30,79 +25,18 @@ double BitsDouble(uint64_t u) {
 
 }  // namespace
 
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
-void SetEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
-size_t MinRows() { return g_min_rows.load(std::memory_order_relaxed); }
-void SetMinRows(size_t rows) {
-  g_min_rows.store(rows, std::memory_order_relaxed);
-}
-
-ScopedColumnarMode::ScopedColumnarMode(bool enabled, int64_t min_rows)
-    : prev_enabled_(Enabled()), prev_min_rows_(MinRows()) {
-  SetEnabled(enabled);
-  if (min_rows >= 0) SetMinRows(static_cast<size_t>(min_rows));
-}
-
-ScopedColumnarMode::~ScopedColumnarMode() {
-  SetEnabled(prev_enabled_);
-  SetMinRows(prev_min_rows_);
-}
-
 // ---------------------------------------------------------------------------
 // PackedJoinTable
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Normalizes one already-decomposed cell to the packed key encoding that
-/// reproduces Value equality (see columnar.h). Strings resolve against
-/// \p arena: interned when \p intern, otherwise looked up — a miss returns
-/// false (the key cannot match any build row). The integral-double bounds
-/// are Value::Hash's, so pack-equality coincides with the row engine's
-/// hash-bucket + Compare matching for every value the workloads produce.
-bool NormalizeCell(ColumnTag in_tag, uint64_t in_bits, const StringArena* src,
-                   StringArena* arena, bool intern, ColumnTag* tag,
-                   uint64_t* bits) {
-  switch (in_tag) {
-    case kTagNull:
-      *tag = kTagNull;
-      *bits = 0;
-      return true;
-    case kTagInt:
-      *tag = kTagInt;
-      *bits = in_bits;
-      return true;
-    case kTagDouble: {
-      double d = BitsDouble(in_bits);
-      double r = std::floor(d);
-      if (r == d && d >= -9.2e18 && d <= 9.2e18) {
-        *tag = kTagInt;
-        *bits = static_cast<uint64_t>(static_cast<int64_t>(d));
-        return true;
-      }
-      if (d == 0.0) d = 0.0;  // normalize -0.0
-      *tag = kTagDouble;
-      *bits = DoubleBits(d);
-      return true;
-    }
-    default: {
-      const std::string& s = src->Get(static_cast<uint32_t>(in_bits));
-      if (intern) {
-        *tag = kTagString;
-        *bits = arena->Intern(s);
-        return true;
-      }
-      auto id = arena->Find(s);
-      if (!id) return false;
-      *tag = kTagString;
-      *bits = *id;
-      return true;
-    }
-  }
-}
-
+/// Normalizes \p v to the packed key encoding that reproduces Value
+/// equality (see columnar.h). Strings resolve against \p arena: interned
+/// when \p intern, otherwise looked up — a miss returns false (the key
+/// cannot match any build row). The integral-double bounds are
+/// Value::Hash's, so pack-equality coincides with Value equality for every
+/// value the workloads produce.
 bool NormalizeValue(const Value& v, StringArena* arena, bool intern,
                     ColumnTag* tag, uint64_t* bits) {
   switch (v.type()) {
@@ -114,9 +48,18 @@ bool NormalizeValue(const Value& v, StringArena* arena, bool intern,
       *tag = kTagInt;
       *bits = static_cast<uint64_t>(v.AsInt());
       return true;
-    case ValueType::kDouble:
-      return NormalizeCell(kTagDouble, DoubleBits(v.AsDouble()), nullptr,
-                           arena, intern, tag, bits);
+    case ValueType::kDouble: {
+      double d = v.AsDouble();
+      if (std::floor(d) == d && d >= -9.2e18 && d <= 9.2e18) {
+        *tag = kTagInt;
+        *bits = static_cast<uint64_t>(static_cast<int64_t>(d));
+        return true;
+      }
+      if (d == 0.0) d = 0.0;  // normalize -0.0
+      *tag = kTagDouble;
+      *bits = DoubleBits(d);
+      return true;
+    }
     case ValueType::kString: {
       if (intern) {
         *tag = kTagString;
@@ -169,19 +112,6 @@ bool PackedJoinTable::PackTuple(const Tuple& t,
   return true;
 }
 
-bool PackedJoinTable::PackBatch(const ColumnBatch& batch,
-                                const std::vector<size_t>& cols, size_t row,
-                                bool intern) {
-  for (size_t k = 0; k < key_width_; ++k) {
-    const Column& c = batch.column(cols[k]);
-    if (!NormalizeCell(c.tags[row], c.bits[row], batch.arena(), &arena_,
-                       intern, &scratch_tags_[k], &scratch_bits_[k])) {
-      return false;
-    }
-  }
-  return true;
-}
-
 uint64_t PackedJoinTable::HashKey(const ColumnTag* tags,
                                   const uint64_t* bits) const {
   uint64_t h = 0x9E3779B97F4A7C15ULL;
@@ -220,13 +150,6 @@ int32_t PackedJoinTable::AppendPacked() {
 int32_t PackedJoinTable::AddBuildRow(const Tuple& t,
                                      const std::vector<size_t>& key_pos) {
   PackTuple(t, key_pos, /*intern=*/true);
-  return AppendPacked();
-}
-
-int32_t PackedJoinTable::AddBuildBatchRow(const ColumnBatch& batch,
-                                          const std::vector<size_t>& cols,
-                                          size_t row) {
-  PackBatch(batch, cols, row, /*intern=*/true);
   return AppendPacked();
 }
 
@@ -273,13 +196,6 @@ int32_t PackedJoinTable::Lookup(const ColumnTag* tags,
 int32_t PackedJoinTable::ProbeRow(const Tuple& t,
                                   const std::vector<size_t>& key_pos) {
   if (!PackTuple(t, key_pos, /*intern=*/false)) return -1;
-  return Lookup(scratch_tags_.data(), scratch_bits_.data());
-}
-
-int32_t PackedJoinTable::ProbeBatchRow(const ColumnBatch& batch,
-                                       const std::vector<size_t>& cols,
-                                       size_t row) {
-  if (!PackBatch(batch, cols, row, /*intern=*/false)) return -1;
   return Lookup(scratch_tags_.data(), scratch_bits_.data());
 }
 
@@ -598,373 +514,12 @@ Result<std::vector<uint32_t>> EvalPredicate(const BoundExpr& expr,
     return sel;
   }
   sel.reserve(n);
+  size_t checked = 0;
   for (size_t r = 0; r < n; ++r) {
-    if ((r & (kCancelCheckRows - 1)) == 0) SQ_RETURN_IF_ERROR(CheckCancel());
+    SQ_RETURN_IF_ERROR(CheckCancelEvery(&checked));
     if (CellTruthy(top, batch, r)) sel.push_back(static_cast<uint32_t>(r));
   }
   return sel;
-}
-
-// ---------------------------------------------------------------------------
-// Operator kernels
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Distinct attribute positions the program references, sorted.
-std::vector<size_t> ReferencedCols(const BoundExpr& expr) {
-  std::vector<size_t> out;
-  for (const auto& in : expr.code()) {
-    if (in.op == BoundExpr::Instr::Op::kPushAttr) {
-      out.push_back(in.attr_index);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-}  // namespace
-
-Result<Relation> Select(const Relation& in, const Expr::Ptr& cond) {
-  Expr::Ptr c = cond ? cond : Expr::True();
-  SQ_ASSIGN_OR_RETURN(BoundExpr bound, BoundExpr::Bind(c, in.schema()));
-  std::vector<size_t> needed = ReferencedCols(bound);
-  ColumnBatch batch(in.schema());
-  std::vector<const Tuple*> src;
-  src.reserve(in.DistinctSize());
-  in.ForEach([&](const Tuple& t, int64_t count) {
-    batch.AppendRow(t, count, &needed);
-    src.push_back(&t);
-  });
-  SQ_ASSIGN_OR_RETURN(std::vector<uint32_t> sel, EvalPredicate(bound, batch));
-  Relation out(in.schema(), in.semantics());
-  for (uint32_t r : sel) {
-    SQ_RETURN_IF_ERROR(out.Insert(*src[r], batch.counts()[r]));
-  }
-  return out;
-}
-
-Result<Relation> Project(const Relation& in,
-                         const std::vector<std::string>& attrs,
-                         Semantics out_semantics) {
-  SQ_ASSIGN_OR_RETURN(Schema out_schema, in.schema().Project(attrs));
-  std::vector<size_t> positions;
-  positions.reserve(attrs.size());
-  for (const auto& a : attrs) positions.push_back(*in.schema().IndexOf(a));
-  ColumnBatch batch = ColumnBatch::FromRelation(in, &positions);
-  return batch.ProjectColumns(positions, std::move(out_schema))
-      .ToRelation(out_semantics);
-}
-
-Result<Delta> SelectDelta(const Delta& delta, const Expr::Ptr& cond) {
-  Expr::Ptr c = cond ? cond : Expr::True();
-  SQ_ASSIGN_OR_RETURN(BoundExpr bound, BoundExpr::Bind(c, delta.schema()));
-  std::vector<size_t> needed = ReferencedCols(bound);
-  ColumnBatch batch(delta.schema());
-  std::vector<const Tuple*> src;
-  src.reserve(delta.AtomCount());
-  delta.ForEach([&](const Tuple& t, int64_t count) {
-    batch.AppendRow(t, count, &needed);
-    src.push_back(&t);
-  });
-  SQ_ASSIGN_OR_RETURN(std::vector<uint32_t> sel, EvalPredicate(bound, batch));
-  Delta out(delta.schema());
-  for (uint32_t r : sel) {
-    SQ_RETURN_IF_ERROR(out.Add(*src[r], batch.counts()[r]));
-  }
-  return out;
-}
-
-Result<Delta> ProjectDelta(const Delta& delta,
-                           const std::vector<std::string>& attrs) {
-  SQ_ASSIGN_OR_RETURN(Schema out_schema, delta.schema().Project(attrs));
-  std::vector<size_t> positions;
-  positions.reserve(attrs.size());
-  for (const auto& a : attrs) positions.push_back(*delta.schema().IndexOf(a));
-  ColumnBatch batch = ColumnBatch::FromDelta(delta, &positions);
-  return batch.ProjectColumns(positions, std::move(out_schema)).ToDelta();
-}
-
-namespace {
-
-/// Shared core of the two join kernels: a packed-key table over the build
-/// side, a tight probe loop, a vectorized residual over the gathered match
-/// pairs, then emission through an \p emit callback.
-struct JoinSide {
-  const Schema* schema;
-  std::vector<size_t> key_pos;        // equi key columns in schema order
-  std::vector<size_t> batch_cols;     // key + residual columns to build
-  ColumnBatch batch;
-  std::vector<const Tuple*> src;
-};
-
-/// Fills \p side's batch (key + residual columns) from \p fill, which calls
-/// its argument once per (tuple, count).
-void FillSide(
-    JoinSide* side, size_t reserve,
-    const std::function<void(
-        const std::function<void(const Tuple&, int64_t)>&)>& fill,
-    std::shared_ptr<StringArena> arena) {
-  side->batch = ColumnBatch(*side->schema, std::move(arena));
-  side->src.reserve(reserve);
-  fill([&](const Tuple& t, int64_t count) {
-    side->batch.AppendRow(t, count, &side->batch_cols);
-    side->src.push_back(&t);
-  });
-}
-
-/// Column positions (within \p schema) that \p bound references on the
-/// given half of the concatenated join schema, merged with \p key_pos.
-std::vector<size_t> SideCols(const BoundExpr& bound, size_t offset,
-                             size_t width, const std::vector<size_t>& key_pos,
-                             bool has_residual) {
-  std::vector<size_t> cols = key_pos;
-  if (has_residual) {
-    for (const auto& in : bound.code()) {
-      if (in.op != BoundExpr::Instr::Op::kPushAttr) continue;
-      if (in.attr_index >= offset && in.attr_index < offset + width) {
-        cols.push_back(in.attr_index - offset);
-      }
-    }
-  }
-  std::sort(cols.begin(), cols.end());
-  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-  return cols;
-}
-
-struct MatchPairs {
-  std::vector<uint32_t> build_rows;
-  std::vector<uint32_t> probe_rows;
-};
-
-/// Builds the table over \p build, probes with \p probe, and returns the
-/// matching (build row, probe row) pairs after the vectorized residual.
-Result<MatchPairs> HashJoinPairs(const JoinSide& build, const JoinSide& probe,
-                                 bool build_is_left, const Schema& out_schema,
-                                 const BoundExpr& residual,
-                                 bool has_residual) {
-  PackedJoinTable table(build.key_pos.size());
-  for (size_t r = 0; r < build.batch.rows(); ++r) {
-    table.AddBuildBatchRow(build.batch, build.key_pos, r);
-  }
-  table.Finalize();
-  MatchPairs pairs;
-  for (size_t r = 0; r < probe.batch.rows(); ++r) {
-    if ((r & (kCancelCheckRows - 1)) == 0) SQ_RETURN_IF_ERROR(CheckCancel());
-    for (int32_t m = table.ProbeBatchRow(probe.batch, probe.key_pos, r);
-         m >= 0; m = table.NextInChain(m)) {
-      pairs.build_rows.push_back(static_cast<uint32_t>(m));
-      pairs.probe_rows.push_back(static_cast<uint32_t>(r));
-    }
-  }
-  if (!has_residual || pairs.build_rows.empty()) return pairs;
-
-  // Vectorized residual: gather the referenced columns of the concatenated
-  // schema from the two sides (they share one arena, so string ids agree).
-  const JoinSide& left = build_is_left ? build : probe;
-  const JoinSide& right = build_is_left ? probe : build;
-  const std::vector<uint32_t>& lrows =
-      build_is_left ? pairs.build_rows : pairs.probe_rows;
-  const std::vector<uint32_t>& rrows =
-      build_is_left ? pairs.probe_rows : pairs.build_rows;
-  ColumnBatch joined(out_schema, left.batch.arena_ptr());
-  joined.SetRowCount(lrows.size());
-  {
-    ColumnBatch lg = left.batch.GatherRows(lrows);
-    ColumnBatch rg = right.batch.GatherRows(rrows);
-    // Stitch the gathered columns into the concatenated layout (unbuilt
-    // columns stay empty; the residual never references them).
-    for (size_t c = 0; c < left.schema->size(); ++c) {
-      *joined.MutableColumn(c) = std::move(*lg.MutableColumn(c));
-    }
-    for (size_t c = 0; c < right.schema->size(); ++c) {
-      *joined.MutableColumn(left.schema->size() + c) =
-          std::move(*rg.MutableColumn(c));
-    }
-  }
-  SQ_ASSIGN_OR_RETURN(std::vector<uint32_t> keep,
-                      EvalPredicate(residual, joined));
-  MatchPairs filtered;
-  filtered.build_rows.reserve(keep.size());
-  filtered.probe_rows.reserve(keep.size());
-  for (uint32_t k : keep) {
-    filtered.build_rows.push_back(pairs.build_rows[k]);
-    filtered.probe_rows.push_back(pairs.probe_rows[k]);
-  }
-  return filtered;
-}
-
-}  // namespace
-
-Result<Relation> Join(const Relation& left, const Relation& right,
-                      const Expr::Ptr& cond) {
-  SQ_ASSIGN_OR_RETURN(Schema out_schema, left.schema().Concat(right.schema()));
-  Expr::Ptr c = cond ? cond : Expr::True();
-  JoinConditionParts parts =
-      SplitJoinCondition(c, left.schema(), right.schema());
-  if (parts.equi.empty()) {
-    return Status::Internal("columnar join requires an equi conjunct");
-  }
-  BoundExpr residual;
-  bool has_residual = !parts.residual->IsTrueLiteral();
-  if (has_residual) {
-    SQ_ASSIGN_OR_RETURN(residual, BoundExpr::Bind(parts.residual, out_schema));
-  }
-  // Same build-side policy as the row kernel.
-  bool build_left = left.TotalSize() != right.TotalSize()
-                        ? left.TotalSize() < right.TotalSize()
-                        : left.DistinctSize() <= right.DistinctSize();
-  JoinSide lside, rside;
-  lside.schema = &left.schema();
-  rside.schema = &right.schema();
-  for (const auto& p : parts.equi) {
-    lside.key_pos.push_back(*left.schema().IndexOf(p.left_attr));
-    rside.key_pos.push_back(*right.schema().IndexOf(p.right_attr));
-  }
-  lside.batch_cols =
-      SideCols(residual, 0, left.schema().size(), lside.key_pos, has_residual);
-  rside.batch_cols = SideCols(residual, left.schema().size(),
-                              right.schema().size(), rside.key_pos,
-                              has_residual);
-  auto arena = std::make_shared<StringArena>();
-  FillSide(&lside, left.DistinctSize(),
-           [&](const std::function<void(const Tuple&, int64_t)>& fn) {
-             left.ForEach(fn);
-           },
-           arena);
-  FillSide(&rside, right.DistinctSize(),
-           [&](const std::function<void(const Tuple&, int64_t)>& fn) {
-             right.ForEach(fn);
-           },
-           arena);
-  const JoinSide& build = build_left ? lside : rside;
-  const JoinSide& probe = build_left ? rside : lside;
-  SQ_ASSIGN_OR_RETURN(
-      MatchPairs pairs,
-      HashJoinPairs(build, probe, build_left, out_schema, residual,
-                    has_residual));
-  Semantics out_sem = (left.semantics() == Semantics::kBag ||
-                       right.semantics() == Semantics::kBag)
-                          ? Semantics::kBag
-                          : Semantics::kSet;
-  Relation out(std::move(out_schema), out_sem);
-  for (size_t i = 0; i < pairs.build_rows.size(); ++i) {
-    if ((i & (kCancelCheckRows - 1)) == 0) SQ_RETURN_IF_ERROR(CheckCancel());
-    uint32_t br = pairs.build_rows[i], pr = pairs.probe_rows[i];
-    const Tuple& lt = build_left ? *build.src[br] : *probe.src[pr];
-    const Tuple& rt = build_left ? *probe.src[pr] : *build.src[br];
-    int64_t count = build.batch.counts()[br] * probe.batch.counts()[pr];
-    SQ_RETURN_IF_ERROR(out.Insert(lt.Concat(rt), count));
-  }
-  return out;
-}
-
-Result<Delta> JoinDeltaRelation(const Delta& delta, const Relation& rel,
-                                const Expr::Ptr& cond, bool delta_left) {
-  const Schema& ls = delta_left ? delta.schema() : rel.schema();
-  const Schema& rs = delta_left ? rel.schema() : delta.schema();
-  SQ_ASSIGN_OR_RETURN(Schema out_schema, ls.Concat(rs));
-  Expr::Ptr c = cond ? cond : Expr::True();
-  JoinConditionParts parts = SplitJoinCondition(c, ls, rs);
-  if (parts.equi.empty()) {
-    return Status::Internal("columnar delta join requires an equi conjunct");
-  }
-  // Unlike OpJoin, the row kernel re-evaluates the FULL condition (equi
-  // conjuncts included) on every joined tuple when it is not the literal
-  // true — which drops NULL-keyed matches (NULL = NULL is not truthy).
-  // Mirror that exactly.
-  BoundExpr residual;
-  bool has_residual = !c->IsTrueLiteral();
-  if (has_residual) {
-    SQ_ASSIGN_OR_RETURN(residual, BoundExpr::Bind(c, out_schema));
-  }
-  JoinSide dside, relside;
-  dside.schema = &delta.schema();
-  relside.schema = &rel.schema();
-  for (const auto& p : parts.equi) {
-    const std::string& in_delta = delta_left ? p.left_attr : p.right_attr;
-    const std::string& in_rel = delta_left ? p.right_attr : p.left_attr;
-    dside.key_pos.push_back(*delta.schema().IndexOf(in_delta));
-    relside.key_pos.push_back(*rel.schema().IndexOf(in_rel));
-  }
-  size_t delta_off = delta_left ? 0 : rel.schema().size();
-  size_t rel_off = delta_left ? delta.schema().size() : 0;
-  dside.batch_cols = SideCols(residual, delta_off, delta.schema().size(),
-                              dside.key_pos, has_residual);
-  relside.batch_cols = SideCols(residual, rel_off, rel.schema().size(),
-                                relside.key_pos, has_residual);
-  auto arena = std::make_shared<StringArena>();
-  FillSide(&dside, delta.AtomCount(),
-           [&](const std::function<void(const Tuple&, int64_t)>& fn) {
-             delta.ForEach(fn);
-           },
-           arena);
-  FillSide(&relside, rel.DistinctSize(),
-           [&](const std::function<void(const Tuple&, int64_t)>& fn) {
-             rel.ForEach(fn);
-           },
-           arena);
-  // Like the row kernel: build over the relation, probe with the delta.
-  SQ_ASSIGN_OR_RETURN(
-      MatchPairs pairs,
-      HashJoinPairs(relside, dside, /*build_is_left=*/!delta_left, out_schema,
-                    residual, has_residual));
-  Delta out(std::move(out_schema));
-  for (size_t i = 0; i < pairs.build_rows.size(); ++i) {
-    if ((i & (kCancelCheckRows - 1)) == 0) SQ_RETURN_IF_ERROR(CheckCancel());
-    const Tuple& rt = *relside.src[pairs.build_rows[i]];
-    const Tuple& dt = *dside.src[pairs.probe_rows[i]];
-    int64_t count = relside.batch.counts()[pairs.build_rows[i]] *
-                    dside.batch.counts()[pairs.probe_rows[i]];
-    SQ_RETURN_IF_ERROR(
-        out.Add(delta_left ? dt.Concat(rt) : rt.Concat(dt), count));
-  }
-  return out;
-}
-
-Result<Delta> Between(const Relation& from, const Relation& to) {
-  if (from.schema().AttributeNames() != to.schema().AttributeNames()) {
-    return Status::InvalidArgument(
-        "Delta::Between on relations with different schemas");
-  }
-  std::vector<size_t> all_pos(from.schema().size());
-  for (size_t i = 0; i < all_pos.size(); ++i) all_pos[i] = i;
-  PackedJoinTable table(all_pos.size());
-  std::vector<const Tuple*> fsrc;
-  std::vector<int64_t> fcounts;
-  fsrc.reserve(from.DistinctSize());
-  fcounts.reserve(from.DistinctSize());
-  from.ForEach([&](const Tuple& t, int64_t count) {
-    table.AddBuildRow(t, all_pos);
-    fsrc.push_back(&t);
-    fcounts.push_back(count);
-  });
-  table.Finalize();
-  std::vector<char> matched(fsrc.size(), 0);
-  Delta out(to.schema());
-  Status st = Status::OK();
-  size_t probe_row = 0;
-  to.ForEach([&](const Tuple& t, int64_t count) {
-    if (!st.ok()) return;
-    if ((probe_row++ & (kCancelCheckRows - 1)) == 0) {
-      st = CheckCancel();
-      if (!st.ok()) return;
-    }
-    int32_t m = table.ProbeRow(t, all_pos);
-    if (m < 0) {
-      st = out.Add(t, count);
-      return;
-    }
-    // Full-row keys are unique within a relation: chain length is 1.
-    matched[m] = 1;
-    st = out.Add(t, count - fcounts[m]);
-  });
-  SQ_RETURN_IF_ERROR(st);
-  for (size_t i = 0; i < fsrc.size(); ++i) {
-    if (!matched[i]) SQ_RETURN_IF_ERROR(out.Add(*fsrc[i], -fcounts[i]));
-  }
-  return out;
 }
 
 }  // namespace columnar

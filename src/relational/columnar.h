@@ -1,22 +1,11 @@
-// Columnar batch execution: vectorized select/project/join kernels.
-//
-// These kernels compute exactly what the row-at-a-time operators in
-// operators.cc / delta_algebra.cc compute — same Relations, same Deltas,
-// same error outcomes — but in per-column loops over ColumnBatches:
-//  - predicate evaluation interprets the SAME BoundExpr program the scalar
-//    evaluator runs, producing a selection vector; all-int operand columns
-//    take tight fused loops, everything else falls back per-row to the
-//    shared scalar primitives (EvalBinaryValue et al.), so the two modes
-//    cannot diverge semantically;
-//  - select/project are selection-vector filters and column gathers;
-//  - equi joins build a flat open-addressing table over packed, normalized
-//    join keys (PackedJoinTable) and probe it in tight loops.
-//
-// Dispatch: the row operators consult Enabled()/MinRows() (set from
-// MediatorOptions::columnar at Mediator::Start, or scoped in tests via
-// ScopedColumnarMode) and route large-enough inputs here; small inputs and
-// shapes the kernels don't cover (theta joins, index-hinted joins) keep the
-// row path, which remains the correctness oracle.
+// The two column-wise pieces of the relational engine (DESIGN.md §12):
+//  - EvalPredicate, the vectorized predicate OpSelect runs: it interprets
+//    the SAME BoundExpr program the scalar evaluator runs, producing a
+//    selection vector; all-int operand columns take tight fused loops,
+//    everything else falls back per-row to the shared scalar primitives
+//    (EvalBinaryValue et al.), so it cannot diverge from BoundExpr::Eval;
+//  - PackedJoinTable, the one hash table every equi join builds (OpJoin's
+//    hash path and the delta join).
 
 #ifndef SQUIRREL_RELATIONAL_COLUMNAR_H_
 #define SQUIRREL_RELATIONAL_COLUMNAR_H_
@@ -25,43 +14,12 @@
 #include <vector>
 
 #include "common/status.h"
-#include "delta/delta.h"
 #include "relational/column_batch.h"
 #include "relational/expr.h"
-#include "relational/relation.h"
+#include "relational/tuple.h"
 
 namespace squirrel {
 namespace columnar {
-
-/// Process-wide switch (default on). Set from MediatorOptions::columnar at
-/// Mediator::Start; reads are relaxed atomics, so flipping it concurrently
-/// with kernel calls is race-free (runs that compare modes are sequential).
-bool Enabled();
-void SetEnabled(bool enabled);
-
-/// Inputs with fewer rows than this take the row path even when enabled
-/// (batch conversion overhead dominates below it). Tests and sweeps set 0
-/// so every operator call exercises the columnar kernels.
-size_t MinRows();
-void SetMinRows(size_t rows);
-
-/// True iff a kernel over \p rows rows should run columnar.
-inline bool ShouldUse(size_t rows) { return Enabled() && rows >= MinRows(); }
-
-/// RAII override of the mode for tests and benchmarks; restores the
-/// previous enabled flag and threshold on destruction.
-class ScopedColumnarMode {
- public:
-  /// \p min_rows < 0 leaves the threshold untouched.
-  explicit ScopedColumnarMode(bool enabled, int64_t min_rows = -1);
-  ~ScopedColumnarMode();
-  ScopedColumnarMode(const ScopedColumnarMode&) = delete;
-  ScopedColumnarMode& operator=(const ScopedColumnarMode&) = delete;
-
- private:
-  bool prev_enabled_;
-  size_t prev_min_rows_;
-};
 
 /// Vectorized predicate evaluation: interprets \p expr's program over
 /// \p batch and returns the indices of rows where the result is truthy
@@ -70,40 +28,9 @@ class ScopedColumnarMode {
 Result<std::vector<uint32_t>> EvalPredicate(const BoundExpr& expr,
                                             const ColumnBatch& batch);
 
-/// σ_cond(in) — equivalent to OpSelect's row loop.
-Result<Relation> Select(const Relation& in, const Expr::Ptr& cond);
-
-/// π_attrs(in) — equivalent to OpProject's row loop.
-Result<Relation> Project(const Relation& in,
-                         const std::vector<std::string>& attrs,
-                         Semantics out_semantics);
-
-/// Equi hash join — equivalent to OpJoin's generic hash path. \p cond must
-/// have at least one equi conjunct (callers check via SplitJoinCondition).
-Result<Relation> Join(const Relation& left, const Relation& right,
-                      const Expr::Ptr& cond);
-
-/// Δ ⋈ R (delta_left) or R ⋈ Δ — equivalent to JoinDeltaWithRelation's
-/// hash path (builds over the relation side, like the row kernel).
-Result<Delta> JoinDeltaRelation(const Delta& delta, const Relation& rel,
-                                const Expr::Ptr& cond, bool delta_left);
-
-/// π_attrs(Δ) — equivalent to DeltaProject's row loop.
-Result<Delta> ProjectDelta(const Delta& delta,
-                           const std::vector<std::string>& attrs);
-
-/// σ_cond(Δ) — equivalent to DeltaSelect's row loop (callers handle the
-/// trivial condition before dispatching here).
-Result<Delta> SelectDelta(const Delta& delta, const Expr::Ptr& cond);
-
-/// The delta transforming \p from into \p to — equivalent to
-/// Delta::Between, via a packed full-row key table.
-Result<Delta> Between(const Relation& from, const Relation& to);
-
 /// \brief Flat open-addressing hash table over packed, normalized join
-/// keys. Used by the columnar join kernels AND by row-mode OpJoin's generic
-/// hash path (replacing its per-row Tuple-keyed unordered_map: key strings
-/// are interned once into the table's arena and probes allocate nothing).
+/// keys. Key strings are interned once into the table's arena and probes
+/// allocate nothing.
 ///
 /// Key normalization reproduces Value equality exactly:
 ///   null            -> (kTagNull, 0)
@@ -111,8 +38,9 @@ Result<Delta> Between(const Relation& from, const Relation& to);
 ///   integral double -> (kTagInt, (int64)v)   [same bounds as Value::Hash]
 ///   other double    -> (kTagDouble, bits; -0.0 normalized to +0.0)
 ///   string          -> (kTagString, arena id)
-/// A probe-side string absent from the arena cannot match any build key, so
-/// the probe reports "no match" without interning.
+/// So NULL keys match each other; a join that must drop them re-checks its
+/// condition. A probe-side string absent from the arena cannot match any
+/// build key, so the probe reports "no match" without interning.
 class PackedJoinTable {
  public:
   /// \p key_width: number of join-key columns.
@@ -123,30 +51,17 @@ class PackedJoinTable {
   PackedJoinTable(const PackedJoinTable&) = delete;
   PackedJoinTable& operator=(const PackedJoinTable&) = delete;
 
-  size_t key_width() const { return key_width_; }
-  /// Number of build rows added.
-  size_t rows() const { return next_.size(); }
-
   /// Appends a build row whose key is \p t projected on \p key_pos.
   /// Returns the row's dense id (0-based, in insertion order).
   int32_t AddBuildRow(const Tuple& t, const std::vector<size_t>& key_pos);
 
-  /// Appends a build row keyed by batch cells (\p cols lists the key
-  /// columns of \p batch, outer index = key slot) at row \p row.
-  int32_t AddBuildBatchRow(const ColumnBatch& batch,
-                           const std::vector<size_t>& cols, size_t row);
-
-  /// Builds the hash table; call once after the last AddBuild*.
+  /// Builds the hash table; call once after the last AddBuildRow.
   void Finalize();
 
   /// First build row whose key equals \p t projected on \p key_pos, or -1.
   /// Walk duplicates with NextInChain. Non-const only because the key is
   /// packed into reusable scratch buffers; the table itself is unchanged.
   int32_t ProbeRow(const Tuple& t, const std::vector<size_t>& key_pos);
-
-  /// As ProbeRow, keyed by batch cells.
-  int32_t ProbeBatchRow(const ColumnBatch& batch,
-                        const std::vector<size_t>& cols, size_t row);
 
   /// Next build row with the same key, or -1.
   int32_t NextInChain(int32_t row) const { return next_[row]; }
@@ -156,8 +71,6 @@ class PackedJoinTable {
   // from the arena (guaranteed miss).
   bool PackTuple(const Tuple& t, const std::vector<size_t>& key_pos,
                  bool intern);
-  bool PackBatch(const ColumnBatch& batch, const std::vector<size_t>& cols,
-                 size_t row, bool intern);
   // Append the scratch key as a new build row; returns its id.
   int32_t AppendPacked();
   // Accounts \p bytes of build-array growth against the global budget.

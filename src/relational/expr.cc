@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cmath>
 #include <functional>
+#include <new>
+#include <utility>
 
 namespace squirrel {
 
@@ -469,46 +471,85 @@ Result<Value> EvalUnaryValue(UnOp op, const Value& a) {
   return Status::Internal("unknown unary operator");
 }
 
+namespace {
+
+/// BoundExpr::Eval's operand stack. A postfix program never holds more
+/// values than it has instructions, so a program of up to kInlineDepth
+/// instructions evaluates without touching the heap; a longer one takes
+/// one heap block.
+class EvalStack {
+ public:
+  explicit EvalStack(size_t max_depth)
+      : slots_(max_depth <= kInlineDepth ? inline_ : new Slot[max_depth]) {}
+  ~EvalStack() {
+    while (size_ > 0) Pop();
+    if (slots_ != inline_) delete[] slots_;
+  }
+  EvalStack(const EvalStack&) = delete;
+  EvalStack& operator=(const EvalStack&) = delete;
+
+  size_t size() const { return size_; }
+  /// The value \p from_top slots below the top (0 = the top).
+  Value& At(size_t from_top) { return slots_[size_ - 1 - from_top].value; }
+  template <typename V>
+  void Push(V&& v) {
+    ::new (&slots_[size_].value) Value(std::forward<V>(v));
+    ++size_;
+  }
+  void Pop() { slots_[--size_].value.~Value(); }
+
+ private:
+  static constexpr size_t kInlineDepth = 16;
+  // Raw storage: a slot holds a live Value only below size_. A plain
+  // Value array would construct and destroy every slot on every call,
+  // which costs more than evaluating a short program.
+  union Slot {
+    Slot() {}
+    ~Slot() {}
+    Value value;
+  };
+  Slot inline_[kInlineDepth];
+  Slot* slots_;
+  size_t size_ = 0;
+};
+
+}  // namespace
+
 Result<Value> BoundExpr::Eval(const Tuple& tuple) const {
-  // Small fixed-capacity evaluation stack; expressions are shallow.
-  std::vector<Value> stack;
-  stack.reserve(8);
+  EvalStack stack(code_.size());
   for (const Instr& in : code_) {
     switch (in.op) {
       case Instr::Op::kPushConst:
-        stack.push_back(in.constant);
+        stack.Push(in.constant);
         break;
       case Instr::Op::kPushAttr:
         if (in.attr_index >= tuple.size()) {
           return Status::Internal("bound attribute index out of range");
         }
-        stack.push_back(tuple.at(in.attr_index));
+        stack.Push(tuple.at(in.attr_index));
         break;
       case Instr::Op::kBinary: {
-        Value b = std::move(stack.back());
-        stack.pop_back();
-        Value a = std::move(stack.back());
-        stack.pop_back();
-        SQ_ASSIGN_OR_RETURN(Value r, EvalBinaryValue(in.bin_op, a, b));
-        stack.push_back(std::move(r));
+        SQ_ASSIGN_OR_RETURN(Value r,
+                            EvalBinaryValue(in.bin_op, stack.At(1),
+                                            stack.At(0)));
+        stack.Pop();
+        stack.At(0) = std::move(r);
         break;
       }
       case Instr::Op::kUnary: {
-        Value a = std::move(stack.back());
-        stack.pop_back();
-        SQ_ASSIGN_OR_RETURN(Value r, EvalUnaryValue(in.un_op, a));
-        stack.push_back(std::move(r));
+        SQ_ASSIGN_OR_RETURN(Value r, EvalUnaryValue(in.un_op, stack.At(0)));
+        stack.At(0) = std::move(r);
         break;
       }
       case Instr::Op::kIn: {
-        bool member = in.in_list->Contains(stack.back());
-        stack.back() = Value(int64_t{member ? 1 : 0});
+        bool member = in.in_list->Contains(stack.At(0));
+        stack.At(0) = Value(int64_t{member ? 1 : 0});
         break;
       }
     }
   }
   if (stack.size() != 1) return Status::Internal("bad expression stack");
-  return stack.back();
+  return std::move(stack.At(0));
 }
 
 Result<bool> BoundExpr::EvalBool(const Tuple& tuple) const {

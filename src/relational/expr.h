@@ -192,8 +192,8 @@ class BoundExpr {
   /// Errors propagate.
   Result<bool> EvalBool(const Tuple& tuple) const;
 
-  /// One stack-machine instruction. Public so the columnar engine can
-  /// interpret the same compiled program column-wise (see columnar.h);
+  /// One stack-machine instruction. Public so the vectorized predicate
+  /// can interpret the same compiled program column-wise (see columnar.h);
   /// the program layout is otherwise an implementation detail. An IN node
   /// compiles to kPushAttr followed by kIn, which replaces the top of the
   /// stack with its membership (int 1 / 0).
@@ -214,7 +214,7 @@ class BoundExpr {
 };
 
 // Scalar evaluation primitives shared between BoundExpr::Eval and the
-// columnar kernels' per-row fallback, so both modes apply byte-identical
+// vectorized predicate's per-row fallback, so both apply byte-identical
 // semantics (NULL propagation, division by zero -> NULL, int-exact
 // arithmetic, cross-type numeric comparison).
 

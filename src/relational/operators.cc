@@ -2,38 +2,56 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
+#include "common/cancel.h"
+#include "relational/column_batch.h"
 #include "relational/columnar.h"
 
 namespace squirrel {
 
-Result<Relation> OpSelect(const Relation& in, const Expr::Ptr& cond) {
-  if (columnar::ShouldUse(in.DistinctSize())) {
-    return columnar::Select(in, cond);
+namespace {
+
+/// Distinct attribute positions the program references, sorted.
+std::vector<size_t> ReferencedColumns(const BoundExpr& expr) {
+  std::vector<size_t> out;
+  for (const auto& in : expr.code()) {
+    if (in.op == BoundExpr::Instr::Op::kPushAttr) {
+      out.push_back(in.attr_index);
+    }
   }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+}  // namespace
+
+Result<Relation> OpSelect(const Relation& in, const Expr::Ptr& cond) {
   Expr::Ptr c = cond ? cond : Expr::True();
   SQ_ASSIGN_OR_RETURN(BoundExpr bound, BoundExpr::Bind(c, in.schema()));
-  Relation out(in.schema(), in.semantics());
-  Status st = Status::OK();
+  // Vectorized predicate over just the referenced columns (DESIGN.md §12);
+  // the kept rows are copied from the input tuples.
+  ColumnBatch batch(in.schema().size(), ReferencedColumns(bound),
+                    in.DistinctSize());
+  std::vector<std::pair<const Tuple*, int64_t>> rows;
+  rows.reserve(in.DistinctSize());
   in.ForEach([&](const Tuple& t, int64_t count) {
-    if (!st.ok()) return;
-    auto keep = bound.EvalBool(t);
-    if (!keep.ok()) {
-      st = keep.status();
-      return;
-    }
-    if (*keep) st = out.Insert(t, count);
+    batch.AppendRow(t);
+    rows.emplace_back(&t, count);
   });
-  if (!st.ok()) return st;
+  SQ_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
+                      columnar::EvalPredicate(bound, batch));
+  Relation out(in.schema(), in.semantics());
+  for (uint32_t r : sel) {
+    SQ_RETURN_IF_ERROR(out.Insert(*rows[r].first, rows[r].second));
+  }
   return out;
 }
 
 Result<Relation> OpProject(const Relation& in,
                            const std::vector<std::string>& attrs,
                            Semantics out_semantics) {
-  if (columnar::ShouldUse(in.DistinctSize())) {
-    return columnar::Project(in, attrs, out_semantics);
-  }
   SQ_ASSIGN_OR_RETURN(Schema out_schema, in.schema().Project(attrs));
   std::vector<size_t> positions;
   positions.reserve(attrs.size());
@@ -106,6 +124,7 @@ Result<Relation> OpJoin(const Relation& left, const Relation& right,
                           : Semantics::kSet;
   Relation out(std::move(out_schema), out_sem);
   Status st = Status::OK();
+  size_t checked = 0;  // CheckCancelEvery's row counter
 
   auto emit = [&](const Tuple& lt, int64_t lc, const Tuple& rt, int64_t rc) {
     if (!st.ok()) return;
@@ -142,10 +161,6 @@ Result<Relation> OpJoin(const Relation& left, const Relation& right,
       }
     });
   } else if (!parts.equi.empty()) {
-    if (columnar::ShouldUse(
-            std::max(left.DistinctSize(), right.DistinctSize()))) {
-      return columnar::Join(left, right, c);
-    }
     // Hash join: build on the side with the smaller total (bag) size —
     // under bag semantics DistinctSize alone mis-ranks a side with few
     // distinct rows but huge multiplicities. Break ties on distinct size.
@@ -177,6 +192,7 @@ Result<Relation> OpJoin(const Relation& left, const Relation& right,
     });
     table.Finalize();
     probe.ForEach([&](const Tuple& t, int64_t count) {
+      if (st.ok()) st = CheckCancelEvery(&checked);
       if (!st.ok()) return;
       for (int32_t r = table.ProbeRow(t, probe_pos); r >= 0;
            r = table.NextInChain(r)) {
@@ -192,6 +208,7 @@ Result<Relation> OpJoin(const Relation& left, const Relation& right,
     left.ForEach([&](const Tuple& lt, int64_t lc) {
       if (!st.ok()) return;
       right.ForEach([&](const Tuple& rt, int64_t rc) {
+        if (st.ok()) st = CheckCancelEvery(&checked);
         emit(lt, lc, rt, rc);
       });
     });

@@ -80,6 +80,23 @@ TEST(DeltaAlgebraTest, DeltaJoinRelation) {
   SQ_ASSERT_OK_AND_ASSIGN(Delta out, DeltaJoinRelation(d, s, Pred("b = c")));
   EXPECT_EQ(out.CountOf(Tuple({1, 7, 7, 100})), 2);
   EXPECT_EQ(out.CountOf(Tuple({2, 9, 9, 200})), -1);
+  // Unlike OpJoin, the delta join re-checks the full condition, so NULL
+  // keys drop; 5 joins 5.0, -0.0 joins 0, and an absent string misses.
+  Delta dk = MakeDelta("D(k double, s string)",
+                       {{Tuple({Value(), "a"}), 1}, {Tuple({5.0, "b"}), -2},
+                        {Tuple({-0.0, "c"}), 1}, {Tuple({2.5, "d"}), 1}});
+  Relation sk = MakeRelation("S(k2, t string)",
+                             {Tuple({Value(), "a"}), Tuple({5, "b"}),
+                              Tuple({0, "nope"}), Tuple({2, "d"})});
+  SQ_ASSERT_OK_AND_ASSIGN(Delta keys,
+                          DeltaJoinRelation(dk, sk, Pred("k = k2")));
+  EXPECT_EQ(keys.AtomCount(), 2u);
+  EXPECT_EQ(keys.CountOf(Tuple({5.0, "b", 5, "b"})), -2);
+  EXPECT_EQ(keys.CountOf(Tuple({-0.0, "c", 0, "nope"})), 1);
+  SQ_ASSERT_OK_AND_ASSIGN(Delta strs,
+                          DeltaJoinRelation(dk, sk, Pred("s = t")));
+  EXPECT_EQ(strs.AtomCount(), 3u);
+  EXPECT_EQ(strs.CountOf(Tuple({-0.0, "c", 0, "nope"})), 0);
 }
 
 TEST(DeltaAlgebraTest, RelationJoinDeltaSchemaOrder) {
@@ -89,6 +106,13 @@ TEST(DeltaAlgebraTest, RelationJoinDeltaSchemaOrder) {
   EXPECT_EQ(out.CountOf(Tuple({1, 1})), -3);
   EXPECT_EQ(out.schema().AttributeNames(),
             (std::vector<std::string>{"a", "b"}));
+  // NULL keys drop on this side too.
+  Relation rn = MakeRelation("L(a)", {Tuple({Value()}), Tuple({3})});
+  Delta dn = MakeDelta("D(b)", {{Tuple({Value()}), 1}, {Tuple({3}), 1}});
+  SQ_ASSERT_OK_AND_ASSIGN(Delta nulls,
+                          RelationJoinDelta(rn, dn, Pred("a = b")));
+  EXPECT_EQ(nulls.AtomCount(), 1u);
+  EXPECT_EQ(nulls.CountOf(Tuple({3, 3})), 1);
 }
 
 TEST(DeltaAlgebraTest, DeltaJoinThetaCondition) {

@@ -12,10 +12,11 @@
 
 #include "common/cancel.h"
 #include "common/memory_budget.h"
+#include "delta/delta_algebra.h"
 #include "mediator/admission.h"
 #include "mediator/durability/serialize.h"
 #include "mediator/mediator.h"
-#include "relational/columnar.h"
+#include "relational/operators.h"
 #include "relational/parser.h"
 #include "testing/util.h"
 #include "vdp/paper_examples.h"
@@ -60,6 +61,42 @@ TEST(CancelTokenTest, ScopedInstallAndNestingRestores) {
     SQ_EXPECT_OK(CheckCancel());  // outer token is untouched
   }
   EXPECT_EQ(CurrentCancelToken(), nullptr);
+}
+
+// Every long relational row loop checks the installed token every
+// kCancelCheckRows rows, so a cancelled query stops inside a big select,
+// join or diff with the token's typed reason instead of finishing it.
+TEST(KernelCancelTest, RowLoopsReturnTheTokenReason) {
+  const int64_t n = static_cast<int64_t>(kCancelCheckRows) + 1;
+  Relation r(MakeSchema("R(a, b)"), Semantics::kBag);
+  Relation s(MakeSchema("S(c, d)"), Semantics::kBag);
+  Delta d(MakeSchema("R(a, b)"));
+  for (int64_t i = 0; i < n; ++i) {
+    SQ_ASSERT_OK(r.Insert(Tuple({i, i % 7})));
+    SQ_ASSERT_OK(s.Insert(Tuple({i, i % 5})));
+    SQ_ASSERT_OK(d.Add(Tuple({i, i % 7}), 1));
+  }
+  CancelToken token;
+  token.Cancel(Status::DeadlineExceeded("query deadline"));
+  ScopedCancelScope scope(&token);
+  auto expect_reason = [](const Status& st, const char* what) {
+    EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded)
+        << what << ": " << st.ToString();
+  };
+  expect_reason(OpSelect(r, testing::Pred("b > 2")).status(), "OpSelect");
+  expect_reason(OpJoin(r, s, testing::Pred("a = c")).status(),
+                "OpJoin hash probe");
+  expect_reason(OpJoin(r, s, testing::Pred("a < c")).status(),
+                "OpJoin nested loop");
+  expect_reason(DeltaJoinRelation(d, s, testing::Pred("a = c")).status(),
+                "DeltaJoinRelation probe");
+  expect_reason(DeltaJoinRelation(d, s, testing::Pred("a < c")).status(),
+                "DeltaJoinRelation nested loop");
+  // Delta::Between's two loops: over `to`, then over the rest of `from`.
+  expect_reason(Delta::Between(r, r).status(), "Delta::Between, to loop");
+  expect_reason(Delta::Between(r, Relation(r.schema(), Semantics::kBag))
+                    .status(),
+                "Delta::Between, from loop");
 }
 
 // ---------------------------------------------------------------------------
@@ -480,12 +517,10 @@ TEST_F(OverloadMediatorTest, SoftBudgetBreachShedsBatchQueries) {
 }
 
 TEST_F(OverloadMediatorTest, HardBudgetBreachCancelsTheChargingQuery) {
-  // Force every kernel through the columnar engine (zero size threshold) so
-  // the query's join charges the budget mid-computation; the budget is
+  // The query's join charges the budget mid-computation; the budget is
   // pre-loaded past its hard limit, so the first charge made UNDER the
   // query's cancel scope kills exactly that query with a typed error. The
   // IUP (which installs no token) keeps running: a later query answers.
-  columnar::ScopedColumnarMode scoped_columnar(true, /*min_rows=*/0);
   MemoryBudget budget(/*soft=*/0, /*hard=*/1);
   ScopedMemoryBudget scoped(&budget);
   auto vdp = BuildFigure1Vdp();

@@ -64,6 +64,15 @@ TEST(ExprTest, BooleanConnectives) {
   EXPECT_TRUE(BoolOn("a = 1 OR b = 2", "R(a, b)", Tuple({0, 2})));
   EXPECT_TRUE(BoolOn("NOT a = 1", "R(a)", Tuple({2})));
   EXPECT_TRUE(BoolOn("not (a = 1 and b = 2)", "R(a, b)", Tuple({1, 3})));
+  // A 20-conjunct chain compiles to 98 instructions, more than Eval's
+  // inline stack holds: the heap fallback gives the same answers and errors.
+  std::string chain = "a = 1";
+  for (int i = 1; i < 20; ++i) chain += " AND b > " + std::to_string(-i);
+  EXPECT_TRUE(BoolOn(chain, "R(a, b)", Tuple({1, 0})));
+  EXPECT_FALSE(BoolOn(chain, "R(a, b)", Tuple({1, -5})));
+  EXPECT_FALSE(
+      EvalOn(chain + " AND s + 1 > 0", "R(a, b, s string)", Tuple({1, 0, "x"}))
+          .ok());
 }
 
 TEST(ExprTest, OperatorPrecedence) {

@@ -15,6 +15,10 @@ TEST(OperatorsTest, SelectFilters) {
   Relation r = MakeRelation("R(a, b)", {Tuple({1, 10}), Tuple({2, 20})});
   SQ_ASSERT_OK_AND_ASSIGN(Relation out, OpSelect(r, Pred("b > 15")));
   EXPECT_EQ(Rows(out), "(2, 20) ");
+  // A predicate that raises a type error returns that error.
+  Relation s = MakeRelation("R(a, s string)", {Tuple({1, "x"})});
+  auto bad = OpSelect(s, Pred("a + s > 0"));
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(OperatorsTest, SelectPreservesBagCounts) {
@@ -56,6 +60,26 @@ TEST(OperatorsTest, EquiJoin) {
   Relation s = MakeRelation("S(c, d)", {Tuple({7, "x"}), Tuple({9, "y"})});
   SQ_ASSERT_OK_AND_ASSIGN(Relation out, OpJoin(r, s, Pred("b = c")));
   EXPECT_EQ(Rows(out), "(1, 7, 7, 'x') ");
+  // Keys join under Value equality: NULL matches NULL (the hash path checks
+  // only the residual), 5 matches 5.0, -0.0 matches 0; 2.5 matches nothing.
+  Relation l = MakeRelation("L(k double, a)",
+                            {Tuple({Value(), 1}), Tuple({5.0, 2}),
+                             Tuple({-0.0, 3}), Tuple({2.5, 4})});
+  Relation m = MakeRelation("M(k2, b)", {Tuple({Value(), 10}), Tuple({5, 20}),
+                                         Tuple({0, 30}), Tuple({2, 40})});
+  SQ_ASSERT_OK_AND_ASSIGN(Relation keys, OpJoin(l, m, Pred("k = k2")));
+  EXPECT_EQ(keys.DistinctSize(), 3u);
+  EXPECT_EQ(keys.CountOf(Tuple({Value(), 1, Value(), 10})), 1);
+  EXPECT_EQ(keys.CountOf(Tuple({5.0, 2, 5, 20})), 1);
+  EXPECT_EQ(keys.CountOf(Tuple({-0.0, 3, 0, 30})), 1);
+  // A probe string absent from the build side misses.
+  Relation strs = MakeRelation("L(s string, a)",
+                               {Tuple({"x", 1}), Tuple({"y", 2}),
+                                Tuple({"z", 3})});
+  Relation probe = MakeRelation("R(t string, b)",
+                                {Tuple({"y", 10}), Tuple({"nope", 20})});
+  SQ_ASSERT_OK_AND_ASSIGN(Relation by_str, OpJoin(strs, probe, Pred("s = t")));
+  EXPECT_EQ(Rows(by_str), "('y', 2, 'y', 10) ");
 }
 
 TEST(OperatorsTest, ThetaJoinNestedLoop) {

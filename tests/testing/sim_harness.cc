@@ -17,7 +17,6 @@
 #include "mediator/durability/log_device.h"
 #include "mediator/export_announcer.h"
 #include "mediator/shard_plan.h"
-#include "relational/columnar.h"
 #include "relational/parser.h"
 #include "sim/fault.h"
 #include "sim/scheduler.h"
@@ -280,7 +279,6 @@ Result<Scenario> BuildScenario(uint64_t seed, const FaultSimOptions& opts) {
   sc.options.iup_threads = opts.iup_threads;
   sc.options.iup_perturb_seed = opts.iup_perturb_seed;
   sc.options.mvcc_reads = opts.mvcc_reads;
-  sc.options.columnar = opts.columnar;
   // Assigned, not drawn: the overload-protection knobs must not perturb the
   // rng-driven schedule above, so an overload run's baseline is the same
   // seed with the knobs off. The jitter seed is the run seed, keeping the
@@ -871,8 +869,8 @@ Result<FaultSimResult> RunSingle(uint64_t seed, const FaultSimOptions& opts,
       "\n";
   fill_storage(ms);
   result.trace_dump += storage_line();
-  // Zero-valued in non-overload runs, so replay comparisons across engine
-  // modes (columnar on/off) see the identical line on both sides.
+  // Zero-valued in non-overload runs, so replay comparisons against a
+  // no-overload baseline of the same seed see the identical line.
   result.trace_dump +=
       "overload: deadline_exceeded=" +
       std::to_string(ms.deadline_exceeded_queries) +
@@ -1320,9 +1318,6 @@ Result<FaultSimResult> RunFaultSim(uint64_t seed,
     return Status::InvalidArgument(
         "the crash-point sweep targets one WAL; it is single-mediator only");
   }
-  // Pin the engine mode (and a zero size threshold, so the small sim
-  // relations actually take the columnar paths) for the whole run.
-  columnar::ScopedColumnarMode scoped_columnar(opts.columnar, /*min_rows=*/0);
   // Optional memory budget, installed for the whole run (build + deploy +
   // drain) so arenas, join tables, snapshots and queues all account to it.
   std::unique_ptr<MemoryBudget> budget;

@@ -82,12 +82,6 @@ struct FaultSimOptions {
   /// Changes query scheduling (trace dumps are NOT comparable to the
   /// serialized baseline) but never update outcomes or final exports.
   bool mvcc_reads = false;
-  // ---- execution engine (PR: columnar batch execution) ----
-  /// Run relational kernels through the columnar engine. The harness pins
-  /// the size threshold to 0 for the whole run, so even the small sim
-  /// relations exercise the columnar kernels; traces and exports must be
-  /// byte-identical to a columnar = false run of the same seed.
-  bool columnar = true;
   // ---- storage integrity & disk faults (PR: storage integrity layer) ----
   /// Which lying-disk fault the WAL device injects (see FaultyLogDevice).
   /// Anything but kNone wraps the in-memory device in a seeded
