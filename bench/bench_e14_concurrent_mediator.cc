@@ -1,25 +1,25 @@
-// Experiment E14: concurrent mediator — MVCC snapshot reads + parallel IUP.
+// Experiment E14: concurrent mediator — MVCC snapshot reads against the
+// serial kernel.
 //
-// Drives a K-branch fully materialized VDP (K independent R' ⋈ S' exports,
-// so same-level firings have disjoint parent sets) with a mixed workload:
-// one writer streams update batches through the IUP while reader threads
-// answer export queries. Two modes over byte-identical workloads:
+// Drives a K-branch fully materialized VDP (K independent R' ⋈ S' exports)
+// with a mixed workload: one writer streams update batches through the IUP
+// while reader threads answer export queries. Two modes over byte-identical
+// workloads, both on the serial IUP kernel:
 //
-//   serialized — the pre-PR discipline: a global store mutex, queries read
-//     the live repositories, the kernel runs single-threaded. Readers block
-//     behind every commit (and each other).
-//   concurrent — the PR's machinery: the kernel fires on a thread pool, the
-//     writer publishes an MVCC snapshot after each batch, and readers answer
-//     lock-free from pinned snapshots (QueryProcessor::Answer with snap).
+//   serialized — a global store mutex, queries read the live repositories.
+//     Readers block behind every commit (and each other).
+//   concurrent — the writer publishes an MVCC snapshot every publish_every
+//     batches, and readers answer lock-free from pinned snapshots
+//     (QueryProcessor::Answer with snap).
 //
 // Reported per scale: update atoms/sec the writer sustained, queries/sec
 // across readers, and query latency p50/p99. Both modes must end with
 // repositories byte-identical to an undisturbed serial oracle run
 // (exports_match) — the speedup may not cost equivalence.
 //
-// Standalone driver like E13: emits a JSON report (default BENCH_pr6.json)
-// that bench/run_bench.sh commits as the PR baseline and the
-// SQUIRREL_BENCH_SMOKE ctest validates.
+// Standalone driver: emits a JSON report (default BENCH_pr6.json) that
+// bench/run_bench.sh commits as the baseline and the bench_e14_smoke ctest
+// validates.
 //
 //   bench_e14_concurrent_mediator [--smoke] [--out=PATH]
 
@@ -28,8 +28,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -40,7 +38,6 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "mediator/iup.h"
 #include "mediator/local_store.h"
 #include "mediator/query_processor.h"
@@ -75,7 +72,6 @@ struct ScaleReport {
   int batches = 0;
   int batch_atoms = 0;  ///< per branch per batch
   int readers = 0;
-  int iup_workers = 0;
   int publish_every = 1;  ///< snapshot refresh interval, in batches
   int trials = 1;         ///< mode pairs run; median speedup reported
   ModeStats serialized;
@@ -90,8 +86,7 @@ std::string BranchNode(const char* base, int branch) {
 }
 
 /// K disjoint branches: leaves Rk/Sk, leaf-parents Rk'/Sk', exported SPJ
-/// join Tk. No node is shared between branches, so every level-1 firing
-/// wave can run all K branches concurrently.
+/// join Tk. Readers poll the K exports round-robin.
 Result<Vdp> BuildVdp(int branches) {
   VdpBuilder b;
   for (int k = 0; k < branches; ++k) {
@@ -108,7 +103,7 @@ Result<Vdp> BuildVdp(int branches) {
 }
 
 /// Identical base data and batch stream for every mode: each batch carries
-/// one delta per branch leaf Rk (so the kernel sees K disjoint firings).
+/// one delta per branch leaf Rk.
 struct Workload {
   std::vector<Relation> r_base;  ///< per branch
   std::vector<Relation> s_base;
@@ -210,13 +205,6 @@ size_t RunQuery(const Stack& s, const PreparedQuery& pq,
   return ans->data.DistinctSize();
 }
 
-double Percentile(std::vector<double>* v, double p) {
-  if (v->empty()) return 0;
-  std::sort(v->begin(), v->end());
-  size_t idx = static_cast<size_t>(p * static_cast<double>(v->size() - 1));
-  return (*v)[idx];
-}
-
 /// Runs the mixed workload with the writer PACED at one batch per
 /// \p pace_ms: both modes sustain the same update rate over the same wall
 /// window (the ISSUE's "queries/sec while the IUP sustains N atoms/sec"),
@@ -229,9 +217,8 @@ double Percentile(std::vector<double>* v, double p) {
 /// materialized-refresh staleness/cost knob: readers stay lock-free on a
 /// slightly older consistent version while the copy cost amortizes.
 ModeStats DriveMixed(Stack* s, const Workload& w, int batch_atoms,
-                     int readers, bool use_snapshots, ThreadPool* pool,
-                     double pace_ms, int publish_every) {
-  s->iup.SetThreadPool(pool);
+                     int readers, bool use_snapshots, double pace_ms,
+                     int publish_every) {
   if (use_snapshots) s->store.PublishSnapshot(TimeVector{});
 
   std::mutex store_mu;  // serialized mode's global lock
@@ -335,7 +322,6 @@ ModeStats DriveMixed(Stack* s, const Workload& w, int batch_atoms,
   auto end = std::chrono::steady_clock::now();
   stop.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
-  s->iup.SetThreadPool(nullptr);
 
   ModeStats stats;
   stats.window_ms =
@@ -351,21 +337,20 @@ ModeStats DriveMixed(Stack* s, const Workload& w, int batch_atoms,
   }
   for (uint64_t r : reused) stats.answers_reused += r;
   stats.queries_per_sec = static_cast<double>(stats.queries) / secs;
-  stats.q_p50_us = Percentile(&all, 0.50);
-  stats.q_p99_us = Percentile(&all, 0.99);
+  stats.q_p50_us = Percentile(all, 50);
+  stats.q_p99_us = Percentile(std::move(all), 99);
   return stats;
 }
 
 ScaleReport RunScale(const Vdp& vdp, int branches, int rows, int batches,
-                     int batch_atoms, int readers, int workers,
-                     int publish_every, int trials, uint64_t seed) {
+                     int batch_atoms, int readers, int publish_every,
+                     int trials, uint64_t seed) {
   ScaleReport report;
   report.branches = branches;
   report.rows = rows;
   report.batches = batches;
   report.batch_atoms = batch_atoms;
   report.readers = readers;
-  report.iup_workers = workers;
   report.publish_every = publish_every;
   report.trials = trials;
   Workload w = MakeWorkload(branches, rows, batches, batch_atoms, seed);
@@ -394,20 +379,19 @@ ScaleReport RunScale(const Vdp& vdp, int branches, int rows, int batches,
     double speedup = 0;
   };
   std::vector<Trial> runs;
-  ThreadPool pool(workers);
   for (int t = 0; t < trials; ++t) {
     Trial trial;
     Stack serial(&vdp, branches);
     serial.Seed(w);
     trial.serialized =
         DriveMixed(&serial, w, batch_atoms, readers,
-                   /*use_snapshots=*/false, nullptr, pace_ms, publish_every);
+                   /*use_snapshots=*/false, pace_ms, publish_every);
 
     Stack conc(&vdp, branches);
     conc.Seed(w);
     trial.concurrent =
         DriveMixed(&conc, w, batch_atoms, readers,
-                   /*use_snapshots=*/true, &pool, pace_ms, publish_every);
+                   /*use_snapshots=*/true, pace_ms, publish_every);
     trial.speedup =
         trial.concurrent.queries_per_sec / trial.serialized.queries_per_sec;
 
@@ -466,7 +450,6 @@ std::string ReportJson(const std::vector<ScaleReport>& scales, bool smoke) {
         << ", \"batches\": " << r.batches
         << ", \"batch_atoms\": " << r.batch_atoms
         << ", \"readers\": " << r.readers
-        << ", \"iup_workers\": " << r.iup_workers
         << ", \"publish_every\": " << r.publish_every
         << ", \"trials\": " << r.trials
         << ",\n     \"serialized\": " << ModeJson(r.serialized)
@@ -480,72 +463,32 @@ std::string ReportJson(const std::vector<ScaleReport>& scales, bool smoke) {
   return out.str();
 }
 
-/// Schema check for the emitted report; the SQUIRREL_BENCH_SMOKE ctest runs
-/// this binary and relies on a non-zero exit when the report is malformed
-/// or any mode diverged from the serial oracle.
-bool Validate(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "FAIL: cannot reopen %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string json = buf.str();
-  for (const char* key :
-       {"\"bench\": \"e14_concurrent_mediator\"", "\"scales\"",
-        "\"serialized\"", "\"concurrent\"", "\"queries_per_sec\"",
-        "\"answers_reused\"",
-        "\"q_p50_us\"", "\"q_p99_us\"", "\"atoms_per_sec\"",
-        "\"mixed_speedup\"", "\"exports_match\""}) {
-    if (json.find(key) == std::string::npos) {
-      std::fprintf(stderr, "FAIL: report missing %s\n", key);
-      return false;
-    }
-  }
-  if (json.find("\"exports_match\": false") != std::string::npos) {
-    std::fprintf(stderr,
-                 "FAIL: a mixed-workload run diverged from the serial "
-                 "oracle (exports_match false)\n");
-    return false;
-  }
-  return true;
-}
-
 int Main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_pr6.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--out=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  const std::optional<DriverArgs> args =
+      ParseDriverArgs(argc, argv, "BENCH_pr6.json");
+  if (!args) return 2;
+  const bool smoke = args->smoke;
 
   const int branches = 4;
   Vdp vdp = Unwrap(BuildVdp(branches), "vdp");
   struct ScaleSpec {
-    int rows, batches, batch_atoms, readers, workers;
+    int rows, batches, batch_atoms, readers;
   };
   // Snapshot refresh interval (batches per publish) and per-scale trial
   // count; the full run reports the median-speedup trial per scale.
   const int publish_every = 4;
   const int trials = smoke ? 1 : 3;
   std::vector<ScaleSpec> specs =
-      smoke ? std::vector<ScaleSpec>{{300, 20, 16, 2, 2}}
-            : std::vector<ScaleSpec>{{500, 80, 32, 2, 2},
-                                     {1000, 60, 32, 2, 2},
-                                     {2000, 40, 32, 4, 2}};
+      smoke ? std::vector<ScaleSpec>{{300, 20, 16, 2}}
+            : std::vector<ScaleSpec>{{500, 80, 32, 2},
+                                     {1000, 60, 32, 2},
+                                     {2000, 40, 32, 4}};
 
   std::vector<ScaleReport> scales;
   for (const auto& spec : specs) {
     ScaleReport r = RunScale(vdp, branches, spec.rows, spec.batches,
-                             spec.batch_atoms, spec.readers, spec.workers,
-                             publish_every, trials, /*seed=*/29);
+                             spec.batch_atoms, spec.readers, publish_every,
+                             trials, /*seed=*/29);
     std::fprintf(stderr,
                  "rows=%d serialized=%.0f q/s (p99 %.0fus) "
                  "concurrent=%.0f q/s (p99 %.0fus) mixed_speedup=%.2fx "
@@ -557,14 +500,14 @@ int Main(int argc, char** argv) {
     scales.push_back(r);
   }
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "FAIL: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << ReportJson(scales, smoke);
-  out.close();
-  return Validate(out_path) ? 0 : 1;
+  return WriteReport(
+      args->out_path, ReportJson(scales, smoke),
+      {"\"bench\": \"e14_concurrent_mediator\"", "\"scales\"",
+       "\"serialized\"", "\"concurrent\"", "\"queries_per_sec\"",
+       "\"answers_reused\"", "\"q_p50_us\"", "\"q_p99_us\"",
+       "\"atoms_per_sec\"", "\"mixed_speedup\""},
+      {{"exports_match",
+        "a mixed-workload run diverged from the serial oracle"}});
 }
 
 }  // namespace

@@ -23,9 +23,9 @@
 // byte-identical. A sharded deployment that diverges from the single-
 // mediator oracle fails its own driver.
 //
-// Standalone driver in the E13-E16 mold: emits a JSON report (default
-// BENCH_pr9.json) that bench/run_bench.sh commits as the PR baseline and
-// that the SQUIRREL_BENCH_SMOKE ctest validates.
+// Standalone driver: emits a JSON report (default BENCH_pr9.json) that
+// bench/run_bench.sh commits as the baseline and that the bench_e17_smoke
+// ctest validates.
 //
 //   bench_e17_sharded_topology [--smoke] [--out=PATH]
 
@@ -33,8 +33,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -53,11 +51,6 @@ namespace bench {
 namespace {
 
 constexpr int kReps = 3;  // median-of-3 wall times
-
-double MedianMs(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
 
 enum class Topo { kSingle, kTwoShard, kThreeTier };
 
@@ -351,9 +344,8 @@ TopoMetrics RunTopo(Topo topo, const Workload& w) {
                           : Status::Internal("final query never answered"),
             "final query drained");
       m.final_rows = std::move(rows);
-      std::sort(latencies.begin(), latencies.end());
-      m.query_p50 = latencies[latencies.size() / 2];
-      m.query_p99 = latencies[(latencies.size() * 99) / 100];
+      m.query_p50 = Percentile(latencies, 50);
+      m.query_p99 = Percentile(latencies, 99);
       for (const auto& med : d->meds) m.polls += med->stats().polls;
       for (const auto& exp : d->exporters) {
         m.commits_mirrored += exp->commits_mirrored();
@@ -433,50 +425,11 @@ std::string ReportJson(const std::vector<ScaleReport>& scales, bool smoke) {
   return out.str();
 }
 
-/// Schema check for the emitted report; the SQUIRREL_BENCH_SMOKE ctest runs
-/// this binary and relies on a non-zero exit when the report is malformed or
-/// any sharded deployment's exports diverged from the single-mediator run.
-bool Validate(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "FAIL: cannot reopen %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string json = buf.str();
-  for (const char* key :
-       {"\"bench\": \"e17_sharded_topology\"", "\"scales\"", "\"single\"",
-        "\"two_shard\"", "\"three_tier\"", "\"atoms_per_sec\"",
-        "\"query_p50\"", "\"query_p99\"", "\"resync_bytes\"",
-        "\"commits_mirrored\"", "\"exports_match\""}) {
-    if (json.find(key) == std::string::npos) {
-      std::fprintf(stderr, "FAIL: report missing %s\n", key);
-      return false;
-    }
-  }
-  if (json.find("\"exports_match\": false") != std::string::npos) {
-    std::fprintf(stderr,
-                 "FAIL: a sharded deployment diverged from the single-"
-                 "mediator oracle (exports_match false)\n");
-    return false;
-  }
-  return true;
-}
-
 int Main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_pr9.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--out=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  const std::optional<DriverArgs> args =
+      ParseDriverArgs(argc, argv, "BENCH_pr9.json");
+  if (!args) return 2;
+  const bool smoke = args->smoke;
 
   std::vector<WorkloadSpec> specs =
       smoke ? std::vector<WorkloadSpec>{{60, 30, 24}}
@@ -500,14 +453,13 @@ int Main(int argc, char** argv) {
     scales.push_back(std::move(r));
   }
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "FAIL: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << ReportJson(scales, smoke);
-  out.close();
-  return Validate(out_path) ? 0 : 1;
+  return WriteReport(args->out_path, ReportJson(scales, smoke),
+                     {"\"bench\": \"e17_sharded_topology\"", "\"scales\"",
+                      "\"single\"", "\"two_shard\"", "\"three_tier\"",
+                      "\"atoms_per_sec\"", "\"query_p50\"", "\"query_p99\"",
+                      "\"resync_bytes\"", "\"commits_mirrored\""},
+                     {{"exports_match", "a sharded deployment diverged from the "
+                                        "single-mediator oracle"}});
 }
 
 }  // namespace

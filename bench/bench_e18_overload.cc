@@ -29,9 +29,9 @@
 // p99 must not exceed the no-admission run's (the gate holds p99 bounded
 // under storm: refusing work beats timing out on it).
 //
-// Standalone driver in the E13-E17 mold: emits a JSON report (default
-// BENCH_pr10.json) that bench/run_bench.sh commits as the PR baseline and
-// that the SQUIRREL_BENCH_SMOKE ctest validates.
+// Standalone driver: emits a JSON report (default BENCH_pr10.json) that
+// bench/run_bench.sh commits as the baseline and that the bench_e18_smoke
+// ctest validates.
 //
 //   bench_e18_overload [--smoke] [--out=PATH]
 
@@ -39,8 +39,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -57,16 +55,6 @@ constexpr int kReps = 3;          // median-of-3 wall times
 constexpr Time kSlo = 8.0;        // per-query deadline budget (virtual time)
 constexpr Time kBurstEvery = 15;  // storm burst cadence
 constexpr int kBurstSize = 10;    // queries per burst, 0.01 apart
-
-double MedianMs(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
-double Pct(const std::vector<double>& sorted, int p) {
-  if (sorted.empty()) return 0;
-  return sorted[std::min(sorted.size() - 1, (sorted.size() * p) / 100)];
-}
 
 struct WorkloadSpec {
   int r_rows = 0;
@@ -301,12 +289,10 @@ ConfigMetrics RunConfig(const Workload& w, bool storm, bool gated) {
                       ? 0
                       : static_cast<double>(answered) /
                             static_cast<double>(m.storm_total);
-      std::sort(all_lat.begin(), all_lat.end());
-      std::sort(answered_lat.begin(), answered_lat.end());
-      m.all_p50 = Pct(all_lat, 50);
-      m.all_p99 = Pct(all_lat, 99);
-      m.answered_p50 = Pct(answered_lat, 50);
-      m.answered_p99 = Pct(answered_lat, 99);
+      m.all_p50 = Percentile(all_lat, 50);
+      m.all_p99 = Percentile(all_lat, 99);
+      m.answered_p50 = Percentile(answered_lat, 50);
+      m.answered_p99 = Percentile(answered_lat, 99);
     }
   }
   m.wall_ms = MedianMs(std::move(wall_samples));
@@ -379,56 +365,11 @@ std::string ReportJson(const std::vector<ScaleReport>& scales, bool smoke) {
   return out.str();
 }
 
-/// Schema check for the emitted report; the SQUIRREL_BENCH_SMOKE ctest runs
-/// this binary and relies on a non-zero exit when the report is malformed,
-/// a storm perturbed the exports, or the gate failed to hold p99.
-bool Validate(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "FAIL: cannot reopen %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string json = buf.str();
-  for (const char* key :
-       {"\"bench\": \"e18_overload\"", "\"scales\"", "\"oracle\"",
-        "\"no_admission\"", "\"admission\"", "\"goodput\"", "\"all_p99\"",
-        "\"answered_p99\"", "\"rejected\"", "\"deadline_exceeded\"",
-        "\"p99_bounded\"", "\"exports_match\""}) {
-    if (json.find(key) == std::string::npos) {
-      std::fprintf(stderr, "FAIL: report missing %s\n", key);
-      return false;
-    }
-  }
-  if (json.find("\"exports_match\": false") != std::string::npos) {
-    std::fprintf(stderr,
-                 "FAIL: a storm run's exports diverged from the no-storm "
-                 "oracle (exports_match false)\n");
-    return false;
-  }
-  if (json.find("\"p99_bounded\": false") != std::string::npos) {
-    std::fprintf(stderr,
-                 "FAIL: the admission gate did not hold all-in p99 at or "
-                 "under the ungated run (p99_bounded false)\n");
-    return false;
-  }
-  return true;
-}
-
 int Main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_pr10.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--out=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  const std::optional<DriverArgs> args =
+      ParseDriverArgs(argc, argv, "BENCH_pr10.json");
+  if (!args) return 2;
+  const bool smoke = args->smoke;
 
   std::vector<WorkloadSpec> specs =
       smoke ? std::vector<WorkloadSpec>{{60, 30, 24, 20}}
@@ -453,14 +394,15 @@ int Main(int argc, char** argv) {
     scales.push_back(std::move(r));
   }
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "FAIL: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << ReportJson(scales, smoke);
-  out.close();
-  return Validate(out_path) ? 0 : 1;
+  return WriteReport(args->out_path, ReportJson(scales, smoke),
+                     {"\"bench\": \"e18_overload\"", "\"scales\"", "\"oracle\"",
+                      "\"no_admission\"", "\"admission\"", "\"goodput\"",
+                      "\"all_p99\"", "\"answered_p99\"", "\"rejected\"",
+                      "\"deadline_exceeded\""},
+                     {{"exports_match", "a storm run's exports diverged from the "
+                                        "no-storm oracle"},
+                      {"p99_bounded", "the admission gate did not hold all-in "
+                                      "p99 at or under the ungated run"}});
 }
 
 }  // namespace

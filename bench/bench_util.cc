@@ -1,6 +1,9 @@
 #include "bench_util.h"
 
 #include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <sstream>
 
 namespace squirrel {
 namespace bench {
@@ -178,6 +181,70 @@ Fig4System MakeFig4System(const Annotation& ann, MediatorOptions options,
       Mediator::Create(vdp, ann, setups, sys.scheduler.get(), options),
       "fig4 mediator");
   return sys;
+}
+
+double Percentile(std::vector<double> samples, int pct) {
+  if (samples.empty()) return 0;
+  std::sort(samples.begin(), samples.end());
+  return samples[std::min(samples.size() - 1,
+                          samples.size() * static_cast<size_t>(pct) / 100)];
+}
+
+std::optional<DriverArgs> ParseDriverArgs(int argc, char** argv,
+                                          const std::string& default_out) {
+  DriverArgs args;
+  args.out_path = default_out;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      args.smoke = true;
+    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
+      args.out_path = argv[i] + 6;
+    } else {
+      std::fprintf(stderr, "usage: %s [--smoke] [--out=PATH]\n", argv[0]);
+      return std::nullopt;
+    }
+  }
+  return args;
+}
+
+int WriteReport(const std::string& path, const std::string& json,
+                const std::vector<std::string>& required,
+                const std::vector<ReportGate>& gates) {
+  {
+    std::ofstream out(path);
+    if (!out) {
+      std::fprintf(stderr, "FAIL: cannot write %s\n", path.c_str());
+      return 1;
+    }
+    out << json;
+  }
+  // Validate what actually reached the file, not the in-memory string.
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "FAIL: cannot reopen %s\n", path.c_str());
+    return 1;
+  }
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string written = buf.str();
+  std::vector<std::string> keys = required;
+  for (const ReportGate& gate : gates) {
+    keys.push_back("\"" + std::string(gate.field) + "\"");
+  }
+  for (const std::string& key : keys) {
+    if (written.find(key) == std::string::npos) {
+      std::fprintf(stderr, "FAIL: report missing %s\n", key.c_str());
+      return 1;
+    }
+  }
+  for (const ReportGate& gate : gates) {
+    const std::string falsified = "\"" + std::string(gate.field) + "\": false";
+    if (written.find(falsified) != std::string::npos) {
+      std::fprintf(stderr, "FAIL: %s (%s false)\n", gate.failure, gate.field);
+      return 1;
+    }
+  }
+  return 0;
 }
 
 Table::Table(std::vector<std::string> headers)

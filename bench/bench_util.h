@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,45 @@ inline void Drain(Scheduler* scheduler, size_t cap = 50000000) {
 inline void AdvanceTo(Scheduler* scheduler, Time t) {
   scheduler->RunUntil(t);
 }
+
+/// The \p pct-th percentile (0-100) of \p samples: the sorted sample at
+/// index min(n - 1, n * pct / 100). 0 when there are no samples.
+double Percentile(std::vector<double> samples, int pct);
+
+/// Percentile(samples, 50): the upper median for an even count.
+inline double MedianMs(std::vector<double> samples) {
+  return Percentile(std::move(samples), 50);
+}
+
+// ---- standalone report drivers (E14, E17, E18) ----------------------------
+
+/// The command line every report driver accepts: [--smoke] [--out=PATH].
+struct DriverArgs {
+  bool smoke = false;       ///< tiny scale for the ctest smoke run
+  std::string out_path;     ///< where the JSON report goes
+};
+
+/// Parses \p argv, with \p default_out as the report path unless --out=
+/// overrides it. Prints the usage line and returns nullopt on anything
+/// else; the driver then exits 2.
+std::optional<DriverArgs> ParseDriverArgs(int argc, char** argv,
+                                          const std::string& default_out);
+
+/// A boolean report field that must never read false, with the failure
+/// printed when it does.
+struct ReportGate {
+  const char* field;    ///< JSON key, without quotes
+  const char* failure;  ///< what went wrong, for the FAIL line
+};
+
+/// Writes \p json to \p path, reads it back, and checks it: every entry of
+/// \p required (a JSON fragment such as "\"scales\"") and every gate's key
+/// must occur, and no gate may read false. Returns the driver's exit code:
+/// 0 when the report is complete and every gate holds, else 1 (the smoke
+/// ctests rely on it).
+int WriteReport(const std::string& path, const std::string& json,
+                const std::vector<std::string>& required,
+                const std::vector<ReportGate>& gates);
 
 /// Fixed-width table printing for experiment outputs.
 class Table {

@@ -33,10 +33,10 @@ inline constexpr size_t kCancelCheckRows = 1024;
 /// \brief Shared cancellation state for one query execution.
 ///
 /// Cancel() may be called from any thread (the memory budget charges from
-/// IUP worker threads in threaded builds); cancelled() is a relaxed atomic
-/// read so kernel-loop checks stay cheap. The reason is written before the
-/// flag is published (release/acquire), so a reader that observes
-/// cancelled() == true sees the full reason.
+/// whichever thread allocates, MVCC reader threads included); cancelled()
+/// is a relaxed atomic read so kernel-loop checks stay cheap. The reason is
+/// written before the flag is published (release/acquire), so a reader
+/// that observes cancelled() == true sees the full reason.
 class CancelToken {
  public:
   /// Requests cancellation with a typed \p reason (first call wins).

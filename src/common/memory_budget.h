@@ -15,7 +15,8 @@
 //
 // Installation is a process-global slot, null by default (every charge site
 // is a no-op then), set for the duration of a run by ScopedMemoryBudget.
-// Counters are atomics so worker-pool threads can charge concurrently.
+// Counters are atomics so MVCC reader threads and bench monitor threads can
+// charge concurrently with the mediator's thread.
 
 #ifndef SQUIRREL_COMMON_MEMORY_BUDGET_H_
 #define SQUIRREL_COMMON_MEMORY_BUDGET_H_

@@ -133,9 +133,7 @@ Result<HardState> HardState::Decode(const std::string& bytes) {
 // ---- DurabilityManager: logging -------------------------------------------
 
 Status DurabilityManager::Append(std::string record) {
-  if (opts_.framing) {
-    record = FrameRecord(FrameClass::kRecord, log_epoch_, record);
-  }
+  record = FrameRecord(FrameClass::kRecord, log_epoch_, record);
   bytes_logged_ += record.size();
   ++records_logged_;
   return opts_.device->Append(std::move(record)).status();
@@ -226,12 +224,10 @@ Status DurabilityManager::WriteCheckpoint(const HardState& state) {
   BinaryWriter w;
   w.PutU8(kCheckpoint);
   w.PutString(state.Encode());
-  std::string record = w.Take();
-  if (opts_.framing) {
-    // Checkpoint frames carry the complement magic so a damaged checkpoint
-    // is still recognizably a checkpoint (generation fallback, not kCorrupted).
-    record = FrameRecord(FrameClass::kCheckpoint, log_epoch_, record);
-  }
+  // Checkpoint frames carry the complement magic so a damaged checkpoint
+  // is still recognizably a checkpoint (generation fallback, not kCorrupted).
+  std::string record =
+      FrameRecord(FrameClass::kCheckpoint, log_epoch_, w.Take());
   bytes_logged_ += record.size();
   ++records_logged_;
   ++checkpoints_written_;
@@ -249,7 +245,7 @@ Status DurabilityManager::WriteCheckpoint(const HardState& state) {
 
 namespace {
 
-/// One log record after frame verification (or legacy tag classification).
+/// One log record after frame verification.
 struct ParsedRecord {
   uint64_t lsn = 0;
   bool valid = false;
@@ -282,27 +278,17 @@ Result<RecoveredState> DurabilityManager::Recover() {
   }
   SQ_ASSIGN_OR_RETURN(std::vector<LogRecord> records, opts_.device->ReadAll());
 
-  // Pass 1: verify every frame (or, in legacy unframed mode, classify by
-  // tag byte and trust the bytes — an unframed log has no integrity story).
+  // Pass 1: verify every frame.
   std::vector<ParsedRecord> parsed;
   parsed.reserve(records.size());
-  for (auto& rec : records) {
+  for (const auto& rec : records) {
+    FrameInfo info = UnframeRecord(rec.bytes);
     ParsedRecord p;
     p.lsn = rec.lsn;
-    if (opts_.framing) {
-      FrameInfo info = UnframeRecord(rec.bytes);
-      p.valid = info.valid;
-      p.cls = info.frame_class;
-      p.log_epoch = info.log_epoch;
-      p.payload = std::move(info.payload);
-    } else {
-      p.valid = true;
-      p.cls = (!rec.bytes.empty() &&
-               static_cast<uint8_t>(rec.bytes[0]) == kCheckpoint)
-                  ? FrameClass::kCheckpoint
-                  : FrameClass::kRecord;
-      p.payload = std::move(rec.bytes);
-    }
+    p.valid = info.valid;
+    p.cls = info.frame_class;
+    p.log_epoch = info.log_epoch;
+    p.payload = std::move(info.payload);
     parsed.push_back(std::move(p));
   }
 
@@ -340,12 +326,11 @@ Result<RecoveredState> DurabilityManager::Recover() {
         out.checkpoint_lsn = parsed[i].lsn;
         break;
       }
-      if (!opts_.framing) return decoded;  // legacy: propagate as before
     }
     ++out.checkpoint_fallbacks;
   }
   if (!have_checkpoint) {
-    if (opts_.framing && checkpoint_slots_seen > 0) {
+    if (checkpoint_slots_seen > 0) {
       return Status::Corrupted(
           "no recoverable checkpoint generation: all " +
           std::to_string(checkpoint_slots_seen) +
@@ -371,7 +356,7 @@ Result<RecoveredState> DurabilityManager::Recover() {
     txn_open = false;
   };
   for (size_t i = start + 1; i < parsed.size(); ++i) {
-    if (opts_.framing && parsed[i].lsn != parsed[i - 1].lsn + 1) {
+    if (parsed[i].lsn != parsed[i - 1].lsn + 1) {
       // A hole in the LSN sequence: the device acknowledged record(s) that
       // never reached the read-back (lying fsync). Their effects cannot be
       // reconstructed and replaying around them would silently diverge.
@@ -380,7 +365,7 @@ Result<RecoveredState> DurabilityManager::Recover() {
           std::to_string(parsed[i - 1].lsn) + " and LSN " +
           std::to_string(parsed[i].lsn) + " (acked but not persisted)");
     }
-    if (parsed[i].cls == FrameClass::kCheckpoint && opts_.framing) {
+    if (parsed[i].cls == FrameClass::kCheckpoint) {
       // A newer-but-damaged generation (counted as a fallback in pass 2):
       // its complement magic identifies it as a checkpoint even though its
       // body failed verification, so it is skippable — the chosen older

@@ -62,11 +62,6 @@ struct DurabilityOptions {
   /// Update commits between periodic checkpoints; 0 = only the initial
   /// checkpoint written at Start().
   uint64_t checkpoint_every = 16;
-  /// Wrap every WAL record and checkpoint image in a CRC32C frame (magic +
-  /// checksum + length + log epoch; see integrity.h). Off only for the
-  /// framing-overhead benchmark — an unframed log cannot distinguish tail
-  /// damage from interior corruption.
-  bool framing = true;
   /// Paranoid recovery: re-initiate anti-entropy resync for every mirrored
   /// source after ANY recovery, not just when integrity anomalies were
   /// observed. Deployments on storage that may ack-then-lose writes (lying
@@ -131,7 +126,7 @@ struct RecoveredState {
   uint64_t txns_replayed = 0;       ///< commits re-applied
   uint64_t txns_rolled_back = 0;    ///< begins without commit/abort
   uint64_t msgs_requeued = 0;       ///< messages returned by rollbacks
-  // ---- integrity triage (framing mode) ----
+  // ---- integrity triage ----
   /// Damaged trailing records dropped as repairable tail damage (torn or
   /// partially persisted final appends).
   uint64_t tail_records_dropped = 0;
@@ -152,6 +147,10 @@ struct RecoveredState {
 /// The manager is pure logging/recovery logic: it never touches live
 /// mediator components. The mediator calls Log* at the corresponding points
 /// of its update path and rebuilds itself from Recover()'s result.
+///
+/// Every WAL record and checkpoint image is wrapped in a CRC32C frame
+/// (magic + checksum + length + log epoch; see integrity.h), which is what
+/// lets recovery tell repairable tail damage from interior corruption.
 class DurabilityManager {
  public:
   /// Default = disabled (no device).

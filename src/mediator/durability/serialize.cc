@@ -368,4 +368,12 @@ uint32_t ChecksumSnapshotAnswer(const SnapshotAnswer& ans) {
   return Crc32c(w.bytes());
 }
 
+bool ChecksumVerifies(const UpdateMessage& msg) {
+  return msg.checksum == ChecksumUpdateMessage(msg);
+}
+
+bool ChecksumVerifies(const SnapshotAnswer& ans) {
+  return ans.checksum == ChecksumSnapshotAnswer(ans);
+}
+
 }  // namespace squirrel

@@ -107,13 +107,19 @@ Result<PollAnswer> DecodePollAnswer(BinaryReader* r);
 // ---- wire-integrity checksums (see integrity.h) ---------------------------
 // CRC32C over the message's canonical encoding, EXCLUDING the checksum field
 // itself (the WAL codec above deliberately never persists it: checksums are
-// verified at receipt, not replayed). Senders stamp these into the message;
-// the mediator verifies any nonzero value and treats a mismatch as payload
-// corruption — drop + no dedup-floor advance for updates, re-request for
-// snapshots.
+// verified at receipt, not replayed). Every sender stamps these into the
+// message; the mediator verifies every message with ChecksumVerifies and
+// treats a mismatch as payload corruption — drop + no dedup-floor advance
+// for updates, re-request for snapshots.
 
 uint32_t ChecksumUpdateMessage(const UpdateMessage& msg);
 uint32_t ChecksumSnapshotAnswer(const SnapshotAnswer& ans);
+
+/// True iff the stamped checksum equals the recomputed one. Zero is not
+/// special: no sender leaves the field unstamped, so a zeroed checksum is a
+/// mismatch like any other.
+bool ChecksumVerifies(const UpdateMessage& msg);
+bool ChecksumVerifies(const SnapshotAnswer& ans);
 
 }  // namespace squirrel
 

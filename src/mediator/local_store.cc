@@ -5,9 +5,8 @@
 
 namespace squirrel {
 
-LocalStore::LocalStore(const Vdp* vdp, const Annotation* ann,
-                       bool enable_indexes)
-    : vdp_(vdp), ann_(ann), indexes_enabled_(enable_indexes) {
+LocalStore::LocalStore(const Vdp* vdp, const Annotation* ann)
+    : vdp_(vdp), ann_(ann) {
   for (const auto& name : vdp_->DerivedNames()) {
     const VdpNode* node = vdp_->Find(name);
     auto mat = ann_->MaterializedAttrs(*vdp_, name);
@@ -18,12 +17,10 @@ LocalStore::LocalStore(const Vdp* vdp, const Annotation* ann,
     repos_.emplace(name,
                    Relation(std::move(schema).value(), node->semantics()));
   }
-  if (indexes_enabled_) {
-    AdviseIndexes(*vdp_, *ann_, &indexes_);
-    for (const auto& [name, rel] : repos_) {
-      // Repos are empty here; this just instantiates the advised indexes.
-      (void)indexes_.Rebuild(name, rel);
-    }
+  AdviseIndexes(*vdp_, *ann_, &indexes_);
+  for (const auto& [name, rel] : repos_) {
+    // Repos are empty here; this just instantiates the advised indexes.
+    (void)indexes_.Rebuild(name, rel);
   }
 }
 
@@ -61,14 +58,10 @@ Status LocalStore::SetRepo(const std::string& node, Relation contents) {
   }
   it->second = std::move(contents);
   dirty_.insert(node);
-  if (indexes_enabled_) {
-    SQ_RETURN_IF_ERROR(indexes_.Rebuild(node, it->second));
-  }
-  return Status::OK();
+  return indexes_.Rebuild(node, it->second);
 }
 
 Status LocalStore::RebuildIndexes(const std::string& node) {
-  if (!indexes_enabled_) return Status::OK();
   auto it = repos_.find(node);
   if (it == repos_.end()) {
     return Status::NotFound("no materialized repository for node: " + node);
@@ -86,17 +79,13 @@ Status LocalStore::ApplyNodeDelta(const std::string& node,
   const auto repo_attrs = it->second.schema().AttributeNames();
   if (full_delta.schema().AttributeNames() == repo_attrs) {
     SQ_RETURN_IF_ERROR(ApplyDelta(&it->second, full_delta));
-    if (indexes_enabled_) {
-      SQ_RETURN_IF_ERROR(indexes_.ApplyDelta(node, full_delta));
-    }
+    SQ_RETURN_IF_ERROR(indexes_.ApplyDelta(node, full_delta));
     if (apply_listener_) apply_listener_(node, full_delta);
     return Status::OK();
   }
   SQ_ASSIGN_OR_RETURN(Delta narrowed, DeltaProject(full_delta, repo_attrs));
   SQ_RETURN_IF_ERROR(ApplyDelta(&it->second, narrowed));
-  if (indexes_enabled_) {
-    SQ_RETURN_IF_ERROR(indexes_.ApplyDelta(node, narrowed));
-  }
+  SQ_RETURN_IF_ERROR(indexes_.ApplyDelta(node, narrowed));
   if (apply_listener_) apply_listener_(node, narrowed);
   return Status::OK();
 }

@@ -74,12 +74,11 @@ class LocalStore {
  public:
   /// Creates empty repositories per \p vdp and \p ann (neither owned; both
   /// must outlive the store). Leaves and fully virtual nodes get none.
-  /// When \p enable_indexes is set, an index-advisor pass over the VDP's
-  /// terms registers the equi-join attribute sets that rule firing and VAP
-  /// key-based construction probe, and every registered index is kept in
-  /// lock-step with its repository from then on.
-  LocalStore(const Vdp* vdp, const Annotation* ann,
-             bool enable_indexes = true);
+  /// An index-advisor pass over the VDP's terms registers the equi-join
+  /// attribute sets that rule firing and VAP key-based construction probe,
+  /// and every registered index is kept in lock-step with its repository
+  /// from then on.
+  LocalStore(const Vdp* vdp, const Annotation* ann);
 
   /// True iff \p node has a repository (>= 1 materialized attribute).
   bool HasRepo(const std::string& node) const;
@@ -128,9 +127,7 @@ class LocalStore {
   /// The annotation this store serves.
   const Annotation& annotation() const { return *ann_; }
 
-  /// Whether persistent indexes are maintained.
-  bool indexes_enabled() const { return indexes_enabled_; }
-  /// The persistent index registry (empty when indexes are disabled).
+  /// The persistent index registry.
   const IndexManager& indexes() const { return indexes_; }
 
   // ---- MVCC snapshots -----------------------------------------------------
@@ -167,7 +164,6 @@ class LocalStore {
  private:
   const Vdp* vdp_;
   const Annotation* ann_;
-  bool indexes_enabled_;
   std::map<std::string, Relation> repos_;
   IndexManager indexes_;
   ApplyListener apply_listener_;

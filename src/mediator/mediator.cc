@@ -73,18 +73,12 @@ Result<std::unique_ptr<Mediator>> Mediator::Create(
                                     : std::map<std::string, Schema>{});
   }
 
-  med->store_ = std::make_unique<LocalStore>(&med->vdp_, &med->ann_,
-                                             options.use_indexes);
+  med->store_ = std::make_unique<LocalStore>(&med->vdp_, &med->ann_);
   med->queue_.SetCoalesceWindow(options.coalesce_window);
   med->vap_ = std::make_unique<Vap>(&med->vdp_, &med->ann_,
                                     med->store_.get(), options.strategy);
   med->iup_ = std::make_unique<Iup>(&med->vdp_, &med->ann_,
                                     med->store_.get(), med->vap_.get());
-  if (options.iup_threads > 0) {
-    med->iup_pool_ = std::make_unique<ThreadPool>(options.iup_threads);
-    med->iup_pool_->SetPerturbSeed(options.iup_perturb_seed);
-    med->iup_->SetThreadPool(med->iup_pool_.get());
-  }
   med->qp_ = std::make_unique<QueryProcessor>(&med->vdp_, &med->ann_,
                                               med->store_.get(),
                                               med->vap_.get());
@@ -355,7 +349,7 @@ void Mediator::OnSourceMessage(SourceToMediatorMsg msg) {
   ++stats_.messages_received;
   if (std::holds_alternative<UpdateMessage>(msg)) {
     UpdateMessage upd = std::get<UpdateMessage>(std::move(msg));
-    if (upd.checksum != 0 && upd.checksum != ChecksumUpdateMessage(upd)) {
+    if (!ChecksumVerifies(upd)) {
       // Payload corrupted in transit. Drop WITHOUT touching the dedup
       // floor: the seq gap the loss opens is healed by ARQ redelivery or,
       // failing that, the seq-gap resync below — never silently applied.
@@ -779,7 +773,7 @@ void Mediator::OnSnapshotAnswer(SnapshotAnswer ans) {
     ++stats_.stale_poll_answers;
     return;
   }
-  if (ans.checksum != 0 && ans.checksum != ChecksumSnapshotAnswer(ans)) {
+  if (!ChecksumVerifies(ans)) {
     // A poisoned snapshot would not merely lose an update — Corrective()
     // would compute a wrong diff and OVERWRITE good mirror state with it.
     // Drop the answer and pull again under a fresh id; corruption is

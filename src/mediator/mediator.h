@@ -21,7 +21,6 @@
 #include "common/cancel.h"
 #include "common/query_class.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "mediator/admission.h"
 #include "mediator/contributor.h"
 #include "mediator/durability/durability.h"
@@ -88,10 +87,6 @@ struct MediatorOptions {
   /// log). Default-constructed options have no log device and disable
   /// durability entirely; see mediator/durability/durability.h.
   DurabilityOptions durability;
-  /// Maintain persistent equi-join indexes on the repositories (advised once
-  /// from the VDP at build time, updated incrementally at delta-apply time).
-  /// Off = every join rebuilds its hash table, the pre-index behavior.
-  bool use_indexes = true;
   /// Update-queue delta batching: consecutive announcements from the same
   /// source whose send times are within this window are merged into one
   /// queue entry (see UpdateQueue::Enqueue). 0 disables coalescing.
@@ -110,7 +105,7 @@ struct MediatorOptions {
   /// answer may be lost to a crash window). Backed off per attempt like
   /// polls are.
   Time resync_retry_delay = 2.0;
-  // ---- concurrency (PR: MVCC reads + parallel IUP) ----
+  // ---- concurrency (MVCC reads) ----
   /// MVCC reads: serve poll-free queries from the latest committed store
   /// snapshot instead of enqueueing them behind the transaction queue —
   /// queries never block on (or behind) an in-flight update transaction
@@ -118,13 +113,6 @@ struct MediatorOptions {
   /// sources still serialize as transactions. Off = every query is a
   /// serialized transaction (the pre-existing behavior and the oracle).
   bool mvcc_reads = false;
-  /// > 0: run the IUP kernel's rule firings on this many pool workers
-  /// (equivalence with the serial kernel is by construction; the sweep
-  /// proves it byte-identical per seed). 0 = serial kernel (the oracle).
-  int iup_threads = 0;
-  /// Nonzero: perturb worker scheduling (seeded yields/sleeps) to shake
-  /// out ordering assumptions under TSan. 0 = no perturbation.
-  uint64_t iup_perturb_seed = 0;
   // ---- overload protection (DESIGN.md §15) ----
   /// Per-class admission limits. All-zero (the default) disables the gate.
   AdmissionOptions admission;
@@ -482,8 +470,6 @@ class Mediator {
   std::unique_ptr<Vap> vap_;
   std::unique_ptr<Iup> iup_;
   std::unique_ptr<QueryProcessor> qp_;
-  /// Worker pool for the parallel IUP kernel (null when iup_threads == 0).
-  std::unique_ptr<ThreadPool> iup_pool_;
   UpdateQueue queue_;
   std::unique_ptr<Trace> trace_;
   MediatorStats stats_;

@@ -446,7 +446,7 @@ Result<Relation> Vap::Assemble(const TempRequest& req, const TempStore& temps,
     // repositories, which may already have moved past this snapshot.
     const HashIndex* repo_index = nullptr;
     const Relation* child_repo = nullptr;
-    if (snap == nullptr && store_->indexes_enabled() &&
+    if (snap == nullptr &&
         RepoCovers(key_based->child, key_based->child_attrs)) {
       SQ_ASSIGN_OR_RETURN(child_repo, store_->Repo(key_based->child));
       repo_index = store_->indexes().Find(key_based->child, key_based->key);

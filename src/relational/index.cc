@@ -139,10 +139,4 @@ Status IndexManager::ApplyDelta(const std::string& node, const Delta& delta) {
   return Status::OK();
 }
 
-size_t IndexManager::BuiltCount() const {
-  size_t n = 0;
-  for (const auto& [node, indexes] : built_) n += indexes.size();
-  return n;
-}
-
 }  // namespace squirrel

@@ -96,9 +96,6 @@ class IndexManager {
     return specs_;
   }
 
-  /// Total number of built indexes across all nodes.
-  size_t BuiltCount() const;
-
  private:
   std::map<std::string, std::vector<std::vector<std::string>>> specs_;
   std::map<std::string, std::vector<HashIndex>> built_;

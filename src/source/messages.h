@@ -34,8 +34,7 @@ struct UpdateMessage {
   uint64_t epoch = 1;  ///< source incarnation; bumps on crash/restart
   MultiDelta delta;    ///< net changes since the previous announcement
   /// CRC32C of the message's canonical encoding (ChecksumUpdateMessage),
-  /// verified at receipt. 0 = unchecksummed (legacy senders / hand-built
-  /// test messages); verification is skipped then.
+  /// stamped by every sender and verified at receipt (ChecksumVerifies).
   uint32_t checksum = 0;
 };
 
@@ -97,7 +96,7 @@ struct SnapshotAnswer {
   std::map<std::string, Relation> relations;  ///< full extents by name
   /// CRC32C of the answer's canonical encoding (ChecksumSnapshotAnswer). A
   /// mismatch at the mediator triggers a snapshot re-request instead of
-  /// poisoning the believed-state mirror. 0 = unchecksummed.
+  /// poisoning the believed-state mirror.
   uint32_t checksum = 0;
 };
 

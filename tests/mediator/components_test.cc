@@ -63,7 +63,6 @@ TEST_F(LocalStoreTest, ApplyNodeDeltaNarrowsToMaterialized) {
 TEST_F(LocalStoreTest, AdvisesAndMaintainsJoinIndexes) {
   Annotation ann;  // fully materialized
   LocalStore store(&vdp_, &ann);
-  ASSERT_TRUE(store.indexes_enabled());
   // T = R' join[r2 = s1] S': the advisor must keep equi indexes on both
   // join sides.
   const HashIndex* r_idx = store.indexes().Find("R'", {"r2"});
@@ -88,11 +87,6 @@ TEST_F(LocalStoreTest, AdvisesAndMaintainsJoinIndexes) {
   SQ_ASSERT_OK(fresh.Insert(Tuple({200, 6}), 1));
   SQ_ASSERT_OK(store.SetRepo("S'", std::move(fresh)));
   EXPECT_EQ(store.indexes().Find("S'", {"s1"})->EntryCount(), 1u);
-
-  // An index-disabled store keeps none of this machinery.
-  LocalStore off(&vdp_, &ann, /*enable_indexes=*/false);
-  EXPECT_FALSE(off.indexes_enabled());
-  EXPECT_EQ(off.indexes().BuiltCount(), 0u);
 }
 
 TEST_F(LocalStoreTest, SetRepoValidatesSchema) {

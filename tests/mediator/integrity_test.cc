@@ -176,9 +176,17 @@ TEST(WireChecksumTest, UpdateMessageSensitivity) {
   // The checksum field itself is excluded — stamping must not invalidate.
   msg.checksum = base;
   EXPECT_EQ(ChecksumUpdateMessage(msg), base);
+  EXPECT_TRUE(ChecksumVerifies(msg));
+  // A zeroed field is a mismatch like any other: this message's true CRC
+  // is nonzero, so it must be rejected, not waved through unverified.
+  ASSERT_NE(base, 0u);
+  UpdateMessage zeroed = msg;
+  zeroed.checksum = 0;
+  EXPECT_FALSE(ChecksumVerifies(zeroed));
   UpdateMessage other = msg;
   other.seq = 4;
   EXPECT_NE(ChecksumUpdateMessage(other), base);
+  EXPECT_FALSE(ChecksumVerifies(other));  // stale stamp after a change
   other = msg;
   other.source = "DB2";
   EXPECT_NE(ChecksumUpdateMessage(other), base);
@@ -202,9 +210,16 @@ TEST(WireChecksumTest, SnapshotAnswerSensitivity) {
   uint32_t base = ChecksumSnapshotAnswer(ans);
   ans.checksum = base;
   EXPECT_EQ(ChecksumSnapshotAnswer(ans), base);  // field excluded
+  EXPECT_TRUE(ChecksumVerifies(ans));
+  // Zeroed checksum over a nonzero true CRC: rejected.
+  ASSERT_NE(base, 0u);
+  SnapshotAnswer zeroed = ans;
+  zeroed.checksum = 0;
+  EXPECT_FALSE(ChecksumVerifies(zeroed));
   SnapshotAnswer other = ans;
   other.announce_seq = 6;
   EXPECT_NE(ChecksumSnapshotAnswer(other), base);
+  EXPECT_FALSE(ChecksumVerifies(other));  // stale stamp after a change
   other = ans;
   EXPECT_TRUE(other.relations.at("R").Insert(Tuple({2})).ok());
   EXPECT_NE(ChecksumSnapshotAnswer(other), base);
@@ -423,6 +438,11 @@ class ByteFlipDevice : public LogDevice {
  public:
   explicit ByteFlipDevice(LogDevice* inner) : inner_(inner) {}
   void FlipByteAt(uint64_t lsn, size_t offset) { flips_[lsn] = offset; }
+  /// Flips a byte of the frame's PAYLOAD and re-frames it, so the record
+  /// still verifies and only the payload decoder can object.
+  void FlipPayloadByteAt(uint64_t lsn, size_t offset) {
+    payload_flips_[lsn] = offset;
+  }
   Result<uint64_t> Append(std::string bytes) override {
     return inner_->Append(std::move(bytes));
   }
@@ -436,6 +456,15 @@ class ByteFlipDevice : public LogDevice {
       if (it != flips_.end() && it->second < rec.bytes.size()) {
         rec.bytes[it->second] ^= 0x40;
       }
+      auto pit = payload_flips_.find(rec.lsn);
+      if (pit != payload_flips_.end()) {
+        FrameInfo info = UnframeRecord(rec.bytes);
+        if (info.valid && pit->second < info.payload.size()) {
+          info.payload[pit->second] ^= 0x40;
+          rec.bytes =
+              FrameRecord(info.frame_class, info.log_epoch, info.payload);
+        }
+      }
     }
     return records;
   }
@@ -445,9 +474,13 @@ class ByteFlipDevice : public LogDevice {
  private:
   LogDevice* inner_;
   std::map<uint64_t, size_t> flips_;
+  std::map<uint64_t, size_t> payload_flips_;
 };
 
 constexpr size_t kPayloadOffset = 20;  // [magic 4][crc 4][len 4][epoch 8]
+// Low byte of the HardState version inside a checkpoint payload:
+// [tag 1][blob length 4][version 4 LE]...
+constexpr size_t kCheckpointVersionOffset = 5;
 
 UpdateMessage Msg(const std::string& source, uint64_t seq, Time send_time) {
   UpdateMessage msg;
@@ -673,18 +706,46 @@ TEST(RecoveryTriageTest, FsyncDropOfTailRecordIsTailRepair) {
   EXPECT_EQ(rec->state.queue.size(), 1u);
 }
 
-TEST(RecoveryTriageTest, LegacyUnframedLogsStillRecover) {
-  // framing=false reads logs written by pre-integrity builds.
-  MemLogDevice dev;
-  DurabilityOptions o = Opts(&dev);
-  o.framing = false;
-  DurabilityManager mgr(o);
-  ASSERT_TRUE(mgr.WriteCheckpoint(HardState{}).ok());
-  ASSERT_TRUE(mgr.LogEnqueue(Msg("DB1", 1, 1.0)).ok());
-  auto rec = mgr.Recover();
-  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-  EXPECT_EQ(rec->state.queue.size(), 1u);
-  EXPECT_EQ(rec->tail_records_dropped, 0u);
+TEST(RecoveryTriageTest, VerifiedButUndecodableCheckpointFallsBackAGeneration) {
+  {
+    // The newer generation's frame verifies, but its HardState version is
+    // unknown: recovery falls back to the older generation and replays the
+    // longer suffix behind it.
+    MemLogDevice inner;
+    ByteFlipDevice dev(&inner);
+    DurabilityManager mgr(Opts(&dev));
+    ASSERT_TRUE(mgr.WriteCheckpoint(HardState{}).ok());  // gen 0, intact
+    ASSERT_TRUE(mgr.LogEnqueue(Msg("DB1", 1, 1.0)).ok());
+    HardState hs;
+    hs.next_txn_id = 5;
+    ASSERT_TRUE(mgr.WriteCheckpoint(hs).ok());  // gen 1 at LSN 2
+    ASSERT_TRUE(mgr.LogEnqueue(Msg("DB1", 2, 2.0)).ok());
+    dev.FlipPayloadByteAt(2, kCheckpointVersionOffset);
+    auto stored = dev.ReadAll();
+    ASSERT_TRUE(stored.ok());
+    ASSERT_EQ(stored->at(2).lsn, 2u);
+    EXPECT_TRUE(UnframeRecord(stored->at(2).bytes).valid);
+    auto rec = mgr.Recover();
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    EXPECT_EQ(rec->checkpoint_fallbacks, 1u);
+    EXPECT_TRUE(rec->anomalies());
+    EXPECT_EQ(rec->checkpoint_lsn, 0u);
+    EXPECT_EQ(rec->state.next_txn_id, 1u);  // generation 0's, not 5
+    ASSERT_EQ(rec->state.queue.size(), 2u);
+  }
+  {
+    // The only generation is undecodable: nothing to fall back to.
+    MemLogDevice inner;
+    ByteFlipDevice dev(&inner);
+    DurabilityManager mgr(Opts(&dev));
+    ASSERT_TRUE(mgr.WriteCheckpoint(HardState{}).ok());
+    ASSERT_TRUE(mgr.LogEnqueue(Msg("DB1", 1, 1.0)).ok());
+    dev.FlipPayloadByteAt(0, kCheckpointVersionOffset);
+    auto rec = mgr.Recover();
+    ASSERT_FALSE(rec.ok());
+    EXPECT_EQ(rec.status().code(), StatusCode::kCorrupted)
+        << rec.status().ToString();
+  }
 }
 
 }  // namespace

@@ -1,17 +1,15 @@
-// Equivalence sweeps for the incremental-index and delta-batching layer.
+// Equivalence sweeps for update-queue delta batching.
 //
-// The persistent repository indexes and the update-queue coalescing window
-// are pure performance features: they must never change what the mediator
-// computes. These sweeps pin that down against the seeded fault simulator:
+// The coalescing window is a pure performance feature: it must never change
+// what the mediator computes. These sweeps pin that down against the seeded
+// fault simulator (whose runs always maintain the persistent repository
+// indexes and check every export against from-scratch recomputation):
 //
-//   (1) Indexed vs unindexed: the SAME seed run with use_indexes on and off
-//       must produce byte-identical trace dumps and final export renderings
-//       (the indexed join paths feed the same deltas to the same txns).
-//   (2) Coalescing: merging same-source messages inside the batch window
+//   (1) Coalescing: merging same-source messages inside the batch window
 //       must leave the final exports byte-identical to the uncoalesced run.
 //       (Trace dumps are NOT compared across that pair: coalescing changes
 //       per-txn message counts, which the dump's counters record.)
-//   (3) Coalescing + durability + seeded crash/restart windows: recovery
+//   (2) Coalescing + durability + seeded crash/restart windows: recovery
 //       replays kEnqueueCoalesced records, and the run must still satisfy
 //       the harness's internal export/recompute and replay-identity checks
 //       while matching the coalescing-off crash run's final exports.
@@ -33,12 +31,6 @@ namespace {
 constexpr uint64_t kBaseSeed = 1101;
 constexpr uint64_t kSeeds = 12;
 
-FaultSimOptions NoIndexOpts() {
-  FaultSimOptions opts;
-  opts.use_indexes = false;
-  return opts;
-}
-
 // The default workload spaces commits 3–5.5s apart, which the update loop
 // drains between events; packing them 5x tighter makes same-source
 // announcements actually meet in the queue so the window has work to do.
@@ -58,19 +50,6 @@ FaultSimOptions CrashOpts(Time coalesce_window) {
   opts.coalesce_window = coalesce_window;
   opts.event_gap_scale = kTightGaps;
   return opts;
-}
-
-TEST(IndexBatchingSweep, IndexedRunsAreByteIdenticalToUnindexed) {
-  for (uint64_t seed = kBaseSeed; seed < kBaseSeed + kSeeds; ++seed) {
-    auto indexed = RunFaultSim(seed);  // use_indexes defaults to true
-    ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
-    auto plain = RunFaultSim(seed, NoIndexOpts());
-    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-    ASSERT_GT(indexed->exports_checked, 0u) << "seed " << seed;
-    EXPECT_EQ(indexed->final_exports, plain->final_exports)
-        << "seed " << seed;
-    EXPECT_EQ(indexed->trace_dump, plain->trace_dump) << "seed " << seed;
-  }
 }
 
 TEST(IndexBatchingSweep, CoalescingPreservesFinalExports) {

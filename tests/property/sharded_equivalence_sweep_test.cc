@@ -26,7 +26,6 @@ using testing::FaultSimOptions;
 using testing::RunFaultSim;
 
 constexpr uint64_t kSeedsPerChunk = 25;
-constexpr int kChunks = 6;  // 6 * 25 = 150 seeds
 
 // Per-chunk fault-model layers the single/sharded comparison rides on.
 struct Scenario {
@@ -35,7 +34,6 @@ struct Scenario {
   int mediator_crashes = 0;  // also drives per-child crash/recovery windows
   int source_restarts = 0;
   double snapshot_corrupt_prob = 0;
-  int iup_threads = 0;
   bool require_all_healthy = false;
   bool degraded_reads = false;
 };
@@ -53,8 +51,6 @@ Scenario ChunkScenario(int chunk) {
               .require_all_healthy = true};
     case 3:  // corrupted snapshot payloads on every link (wire checksums)
       return {.durability = true, .wal = true, .snapshot_corrupt_prob = 0.3};
-    case 4:  // threaded IUP kernels in every tier (the TSan chunk)
-      return {.iup_threads = 2};
     default:  // down sources + degraded reads at every tier: a parent
               // answering from a resyncing child's mirror must annotate
               // staleness exactly like the single-mediator run does
@@ -74,7 +70,6 @@ FaultSimOptions ChunkOptions(const Scenario& s,
   opts.mediator_crashes = s.mediator_crashes;
   opts.source_restarts = s.source_restarts;
   opts.snapshot_corrupt_prob = s.snapshot_corrupt_prob;
-  opts.iup_threads = s.iup_threads;
   opts.require_all_healthy = s.require_all_healthy;
   opts.degraded_reads = s.degraded_reads;
   opts.topology = topo;
@@ -133,8 +128,10 @@ TEST_P(ShardedEquivalenceSweep, ShardedRunsMatchSingleMediator) {
       << "chunk " << chunk << ": no child commit was ever re-announced";
 }
 
+// A chunk number picks the scenario and the seed range (base above) and
+// names the test: 5 * 25 = 125 seeds.
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedEquivalenceSweep,
-                         ::testing::Range(0, kChunks),
+                         ::testing::Values(0, 1, 2, 3, 5),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "chunk" + std::to_string(info.param);
                          });

@@ -272,12 +272,9 @@ Result<Scenario> BuildScenario(uint64_t seed, const FaultSimOptions& opts) {
   sc.options.poll_backoff = 2.0;
   sc.options.poll_max_retries = 3;
   sc.options.txn_retry_delay = 0.5 + rng.UniformDouble();
-  sc.options.use_indexes = opts.use_indexes;
   sc.options.coalesce_window = opts.coalesce_window;
   sc.options.degraded_reads = opts.degraded_reads;
   sc.options.max_queue_depth = opts.max_queue_depth;
-  sc.options.iup_threads = opts.iup_threads;
-  sc.options.iup_perturb_seed = opts.iup_perturb_seed;
   sc.options.mvcc_reads = opts.mvcc_reads;
   // Assigned, not drawn: the overload-protection knobs must not perturb the
   // rng-driven schedule above, so an overload run's baseline is the same

@@ -45,9 +45,7 @@ struct FaultSimOptions {
   /// >= 0: one atomic Crash()+Recover() right after the WAL record with
   /// this LSN is appended (the crash-point sweep). Requires durability.
   int64_t crash_at_wal_record = -1;
-  // ---- incremental indexes & delta batching (PR: index/batch layer) ----
-  /// Maintain persistent repository indexes (MediatorOptions::use_indexes).
-  bool use_indexes = true;
+  // ---- delta batching (PR: index/batch layer) ----
   /// Update-queue coalescing window (MediatorOptions::coalesce_window).
   Time coalesce_window = 0.0;
   /// Scales the gaps between workload events; < 1 packs commits tightly so
@@ -69,14 +67,7 @@ struct FaultSimOptions {
   /// Fail the run if any source ends quarantined or not healthy after the
   /// drain + final queries (the resync sweep's no-permanent-outage check).
   bool require_all_healthy = false;
-  // ---- concurrent mediator (PR: MVCC reads + parallel IUP) ----
-  /// > 0: run the IUP kernel's rule firings on this many pool workers.
-  /// The concurrent-equivalence sweep asserts a threaded run's trace is
-  /// byte-identical to the serial (iup_threads = 0) oracle per seed.
-  int iup_threads = 0;
-  /// Nonzero: seeded worker-scheduling perturbation (yields/sleeps) to
-  /// shake out ordering assumptions; results must not change.
-  uint64_t iup_perturb_seed = 0;
+  // ---- concurrent mediator (PR: MVCC reads) ----
   /// MediatorOptions::mvcc_reads — poll-free queries served lock-free from
   /// the latest committed store snapshot instead of the transaction queue.
   /// Changes query scheduling (trace dumps are NOT comparable to the
@@ -133,9 +124,7 @@ struct FaultSimOptions {
   /// the harness's final correctness queries must always run.
   uint32_t admit_max_active = 0;
   uint32_t admit_max_queued = 0;
-  /// Process-global memory budget for the run (bytes; 0 = off). Hard-limit
-  /// cancellations require iup_threads = 0 setups in the sweeps only for
-  /// determinism of WHICH query dies; accounting itself is thread-safe.
+  /// Process-global memory budget for the run (bytes; 0 = off).
   size_t memory_soft_limit = 0;
   size_t memory_hard_limit = 0;
   /// Poll-timeout backoff ceiling and seeded jitter (MediatorOptions
