@@ -11,11 +11,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/memory_budget.h"
 #include "common/status.h"
 #include "delta/delta.h"
 #include "relational/index.h"
@@ -37,9 +36,6 @@ namespace squirrel {
 class StoreSnapshot {
  public:
   StoreSnapshot() = default;
-  /// Returns the bytes this snapshot's fresh relation copies charged
-  /// against the memory budget when it was published.
-  ~StoreSnapshot();
   StoreSnapshot(const StoreSnapshot&) = delete;
   StoreSnapshot& operator=(const StoreSnapshot&) = delete;
 
@@ -60,11 +56,6 @@ class StoreSnapshot {
   uint64_t version_ = 0;
   TimeVector reflect_;
   std::map<std::string, std::shared_ptr<const Relation>> repos_;
-  // Memory-budget accounting (DESIGN.md §15): bytes of the fresh COW copies
-  // this publish made (shared relations were charged by the snapshot that
-  // first copied them).
-  MemoryBudget* budget_ = nullptr;
-  size_t budget_bytes_ = 0;
 };
 
 using StoreSnapshotPtr = std::shared_ptr<const StoreSnapshot>;
@@ -87,7 +78,9 @@ class LocalStore {
   Result<const Relation*> Repo(const std::string& node) const;
 
   /// Mutable repository access (initial load). Direct mutation bypasses
-  /// index maintenance; callers must RebuildIndexes(node) afterwards.
+  /// index maintenance; callers must RebuildIndexes(node) afterwards. It
+  /// bypasses the snapshot delta log too, so the mutation must be done
+  /// before the next PublishSnapshot, which copies the node whole.
   Result<Relation*> MutableRepo(const std::string& node);
 
   /// Rebuilds every registered index on \p node from its repository.
@@ -133,18 +126,23 @@ class LocalStore {
   // ---- MVCC snapshots -----------------------------------------------------
   //
   // Threading contract: exactly one writer thread mutates the repositories
-  // (MutableRepo/SetRepo/ApplyNodeDelta) and calls PublishSnapshot; any
+  // (MutableRepo/SetRepo/ApplyNodeDelta/Wipe) and calls PublishSnapshot; any
   // number of reader threads may call Snapshot() concurrently and read
-  // through the returned pointer without further synchronization.
+  // through the returned pointer without further synchronization. A reader
+  // that drops the last reference to a superseded snapshot hands its copies
+  // back to the store on the reader's own thread.
 
   /// The latest published snapshot (nullptr before the first publish).
   /// Thread-safe against a concurrent PublishSnapshot.
   StoreSnapshotPtr Snapshot() const;
 
   /// Publishes the current repository contents as a new immutable snapshot
-  /// tagged with \p reflect, copy-on-write: only nodes dirtied since the
-  /// previous publish get fresh Relation copies; clean nodes share the
-  /// previous snapshot's objects. Returns the new snapshot.
+  /// tagged with \p reflect, copy-on-write: clean nodes share the previous
+  /// snapshot's objects, and each node dirtied since the previous publish
+  /// gets a fresh Relation. That Relation is a copy some superseded
+  /// snapshot released, rolled forward by the deltas logged since its
+  /// version; only when no such copy is usable is the live repository
+  /// copied whole (counted by SnapshotCopies). Returns the new snapshot.
   StoreSnapshotPtr PublishSnapshot(TimeVector reflect);
 
   /// Version the next PublishSnapshot will assign, minus one (0 before any
@@ -155,29 +153,63 @@ class LocalStore {
   /// Recovery calls this with the checkpointed version before republishing.
   void EnsureSnapshotVersionAtLeast(uint64_t version);
 
-  /// Snapshots still pinned by at least one reader (includes the latest).
-  /// Superseded snapshots are freed by shared_ptr refcount the moment the
-  /// last reader unpins them; this just reports — and prunes — the
-  /// registry of weak references used to observe that GC.
-  std::vector<StoreSnapshotPtr> LiveSnapshots() const;
+  /// Whole-repository copies PublishSnapshot has made over the store's
+  /// lifetime. Read on the writer thread.
+  uint64_t SnapshotCopies() const { return snapshot_copies_; }
+
+  /// Empties every repository and drops the store's snapshot state with
+  /// them — the latest snapshot, the recycled copies and the delta logs —
+  /// the way a crash loses volatile memory. Snapshots a reader still pins
+  /// stay intact and are freed, not recycled, when released. The version
+  /// counter survives, so no version is ever published twice.
+  void Wipe();
 
  private:
+  struct SpareSlot;
+  struct Recycler;
+
+  /// One repository: the live contents plus what publishing needs to build
+  /// the node's next snapshot copy from a recycled one.
+  struct Repository {
+    explicit Repository(Relation empty);
+
+    Relation live;
+    /// Mutated since the last publish.
+    bool dirty = false;
+    /// The narrowed deltas the repository absorbed, in order, each tagged
+    /// with the version of the first publish that contains it. Filled only
+    /// while a snapshot exists.
+    std::vector<std::pair<uint64_t, Delta>> log;
+    /// The log holds every change after this version; a recycled copy of
+    /// an older version cannot be rolled forward.
+    uint64_t floor = 0;
+    /// Version of the copy the latest snapshot holds (0: none).
+    uint64_t published = 0;
+    /// Where this node's copies go when their last snapshot dies.
+    std::shared_ptr<SpareSlot> slot;
+  };
+
+  /// Lookup that fails with NotFound for nodes without a repository.
+  Result<Repository*> FindRepo(const std::string& node);
+  /// The node's log can no longer roll any existing copy forward.
+  void Invalidate(Repository* repo);
+  /// The node's copy for the snapshot being published as \p version.
+  std::shared_ptr<const Relation> PublishCopy(Repository* repo,
+                                              uint64_t version);
+
   const Vdp* vdp_;
   const Annotation* ann_;
-  std::map<std::string, Relation> repos_;
+  std::map<std::string, Repository> repos_;
   IndexManager indexes_;
   ApplyListener apply_listener_;
+  uint64_t snapshot_copies_ = 0;
 
-  // Guards latest_/next_snapshot_version_/retained_ (writer publishes while
-  // readers grab Snapshot()). repos_ itself needs no lock: only the writer
-  // touches it, and snapshots never alias live repository objects.
+  // Guards latest_/next_snapshot_version_ (writer publishes while readers
+  // grab Snapshot()). repos_ itself needs no lock: only the writer touches
+  // it, and snapshots never alias live repository objects.
   mutable std::mutex snap_mu_;
   StoreSnapshotPtr latest_;
   uint64_t next_snapshot_version_ = 1;
-  /// Nodes mutated since the last publish (copy-on-write working set).
-  std::set<std::string> dirty_;
-  /// Weak registry of every published snapshot, for LiveSnapshots().
-  mutable std::vector<std::weak_ptr<const StoreSnapshot>> retained_;
 };
 
 }  // namespace squirrel

@@ -94,7 +94,7 @@ std::string MediatorStats::ToString() const {
   // rendering — the crash/recovery sweeps byte-compare it between a run and
   // its deterministic replay, so an unrendered counter would silently skip
   // that check.
-  static_assert(sizeof(MediatorStats) == 51 * sizeof(uint64_t),
+  static_assert(sizeof(MediatorStats) == 52 * sizeof(uint64_t),
                 "new counter: extend MediatorStats::ToString too");
   std::string out;
   auto emit = [&out](const char* name, uint64_t v) {
@@ -141,6 +141,7 @@ std::string MediatorStats::ToString() const {
   emit("msgs_dropped_at_crash", msgs_dropped_at_crash);
   emit("snapshot_queries", snapshot_queries);
   emit("snapshots_published", snapshots_published);
+  emit("snapshot_copies", snapshot_copies);
   emit("wal_append_failures", wal_append_failures);
   emit("updates_dropped_wal", updates_dropped_wal);
   emit("checkpoint_failures", checkpoint_failures);
@@ -1331,6 +1332,7 @@ void Mediator::PublishStoreSnapshot() {
   if (!options_.mvcc_reads) return;
   store_->PublishSnapshot(UpdateReflect());
   ++stats_.snapshots_published;
+  stats_.snapshot_copies = store_->SnapshotCopies();
 }
 
 void Mediator::ServeSnapshotQuery(PreparedQuery pq,
@@ -1706,15 +1708,10 @@ void Mediator::Crash() {
     rt->ever_quarantined = false;
     rt->poll_failures = 0;
   }
-  // The repositories are volatile memory; wipe them in place (the VAP/IUP/QP
-  // hold pointers to the store, so the store object itself must survive).
-  for (const auto& node : store_->MaterializedNodes()) {
-    const Relation& cur = **store_->Repo(node);
-    Status st = store_->SetRepo(node, Relation(cur.schema(), cur.semantics()));
-    if (!st.ok()) {
-      SQ_LOG(kError) << "crash wipe failed: " << st.ToString();
-    }
-  }
+  // The repositories and the snapshot state are volatile memory; wipe them
+  // in place (the VAP/IUP/QP hold pointers to the store, so the store object
+  // itself must survive).
+  store_->Wipe();
   // The trace and stats model EXTERNAL observability (a monitoring system),
   // not process memory, so they deliberately survive the crash.
   if (options_.record_trace) {
@@ -1782,7 +1779,7 @@ Status Mediator::Recover() {
                      std::to_string(rec.checkpoint_fallbacks));
   }
   // MVCC: the recovered repositories become the next version on the same
-  // chain (every node is dirty after the SetRepo restores above).
+  // chain (the crash dropped the latest snapshot, so every node is copied).
   PublishStoreSnapshot();
   // A post-recovery checkpoint bounds the next recovery's replay and
   // truncates the log the dead incarnation left behind. Failure is

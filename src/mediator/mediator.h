@@ -177,6 +177,7 @@ struct MediatorStats {
   // ---- MVCC counters (zero unless mvcc_reads is on) ----
   uint64_t snapshot_queries = 0;     ///< queries served from a snapshot
   uint64_t snapshots_published = 0;  ///< store versions published
+  uint64_t snapshot_copies = 0;  ///< whole-repository copies those made
   // ---- storage integrity counters (zero on a healthy disk) ----
   uint64_t wal_append_failures = 0;  ///< Log* calls the device rejected
   uint64_t updates_dropped_wal = 0;  ///< announcements dropped because their

@@ -220,6 +220,40 @@ TEST_F(CrashRecovery, EveryStatsCounterSurvivesCrashRecovery) {
   ExpectConsistentTrace();
 }
 
+TEST_F(CrashRecovery, CrashDropsTheSnapshotState) {
+  // The latest MVCC snapshot is a copy of every repository held in process
+  // memory, so it must die with the crash like the repositories do.
+  // Recovery then publishes the recovered state as a later version.
+  MediatorOptions options;
+  options.mvcc_reads = true;
+  options.durability.device = &log_dev_;
+  MakeMediator(AnnotationExample21(), options);
+  CommitR(1.0, Tuple({2, 200, 22, 100}));
+  scheduler_.RunUntil(6.0);
+
+  const LocalStore& store = mediator_->store();
+  StoreSnapshotPtr pinned = store.Snapshot();
+  ASSERT_NE(pinned, nullptr);
+  mediator_->Crash();
+  EXPECT_EQ(store.Snapshot(), nullptr);
+  for (const auto& node : store.MaterializedNodes()) {
+    SQ_ASSERT_OK_AND_ASSIGN(const Relation* repo, store.Repo(node));
+    EXPECT_TRUE(repo->Empty()) << node;
+  }
+  // A reader's pin is not process state the crash could reach into.
+  SQ_ASSERT_OK_AND_ASSIGN(const Relation* pinned_t, pinned->Repo("T"));
+  EXPECT_EQ(Rows(*pinned_t), kUpdatedT);
+
+  SQ_ASSERT_OK(mediator_->Recover());
+  StoreSnapshotPtr recovered = store.Snapshot();
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_GT(recovered->version(), pinned->version());
+  SQ_ASSERT_OK_AND_ASSIGN(const Relation* recovered_t, recovered->Repo("T"));
+  EXPECT_EQ(Rows(*recovered_t), kUpdatedT);
+  pinned.reset();
+  ExpectConsistentTrace();
+}
+
 TEST_F(CrashRecovery, WalDisabledProvablyLosesCommittedUpdate) {
   MediatorOptions options;
   options.durability.device = &log_dev_;
