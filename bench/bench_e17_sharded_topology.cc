@@ -54,14 +54,6 @@ constexpr int kReps = 3;  // median-of-3 wall times
 
 enum class Topo { kSingle, kTwoShard, kThreeTier };
 
-const char* TopoName(Topo t) {
-  switch (t) {
-    case Topo::kSingle: return "single";
-    case Topo::kTwoShard: return "two_shard";
-    default: return "three_tier";
-  }
-}
-
 std::vector<ShardSpec> SpecsFor(Topo t) {
   switch (t) {
     case Topo::kSingle:

@@ -166,13 +166,10 @@ std::vector<std::string> EquiProbeAttrs(
 }
 
 Result<Delta> JoinDeltaWithIndexedTerm(
-    const Delta& delta, const Relation& repo, const HashIndex& index,
-    const Expr::Ptr& term_select, const std::vector<std::string>& term_project,
-    const Expr::Ptr& join_cond, bool delta_left) {
-  if (index.relation_attrs() != repo.schema().AttributeNames()) {
-    return Status::FailedPrecondition(
-        "index was not built on this repository");
-  }
+    const Delta& delta, const KeyIndex& index, const Expr::Ptr& term_select,
+    const std::vector<std::string>& term_project, const Expr::Ptr& join_cond,
+    bool delta_left) {
+  const Relation& repo = index.relation();
   SQ_ASSIGN_OR_RETURN(Schema term_schema, repo.schema().Project(term_project));
   const Schema& ls = delta_left ? delta.schema() : term_schema;
   const Schema& rs = delta_left ? term_schema : delta.schema();
@@ -185,10 +182,6 @@ Result<Delta> JoinDeltaWithIndexedTerm(
   if (parts.equi.empty()) {
     return Status::FailedPrecondition("join has no equi conjunct to probe");
   }
-  auto indexed_has = [&](const std::string& n) {
-    return std::find(index.attrs().begin(), index.attrs().end(), n) !=
-           index.attrs().end();
-  };
   // The index attr set must equal the term-side equi attr set: probe keys
   // fix every indexed attribute, and every equi conjunct must be enforced
   // by the probe (the residual filter only sees non-equi clauses).
@@ -213,7 +206,8 @@ Result<Delta> JoinDeltaWithIndexedTerm(
   }
   for (const auto& p : parts.equi) {
     const std::string& term_a = delta_left ? p.right_attr : p.left_attr;
-    if (!indexed_has(term_a)) {
+    if (std::find(index.attrs().begin(), index.attrs().end(), term_a) ==
+        index.attrs().end()) {
       return Status::FailedPrecondition(
           "equi attribute not covered by the index: " + term_a);
     }
@@ -235,28 +229,20 @@ Result<Delta> JoinDeltaWithIndexedTerm(
   Status st = Status::OK();
   delta.ForEach([&](const Tuple& dt, int64_t dc) {
     if (!st.ok()) return;
-    for (const auto& [rt, rc] : index.Probe(dt.Project(probe_pos))) {
-      if (has_select) {
-        auto keep = bound_select.EvalBool(rt);
-        if (!keep.ok()) {
-          st = keep.status();
-          return;
-        }
-        if (!*keep) continue;
-      }
-      Tuple joined = delta_left ? dt.Concat(rt.Project(term_pos))
-                                : rt.Project(term_pos).Concat(dt);
-      if (!trivial) {
-        auto keep = bound.EvalBool(joined);
-        if (!keep.ok()) {
-          st = keep.status();
-          return;
-        }
-        if (!*keep) continue;
-      }
-      st = out.Add(std::move(joined), dc * rc);
-      if (!st.ok()) return;
-    }
+    st = index.ForEachMatch(
+        dt, probe_pos, [&](const Tuple& rt, int64_t rc) -> Status {
+          if (has_select) {
+            SQ_ASSIGN_OR_RETURN(bool keep, bound_select.EvalBool(rt));
+            if (!keep) return Status::OK();
+          }
+          Tuple joined = delta_left ? dt.Concat(rt.Project(term_pos))
+                                    : rt.Project(term_pos).Concat(dt);
+          if (!trivial) {
+            SQ_ASSIGN_OR_RETURN(bool keep, bound.EvalBool(joined));
+            if (!keep) return Status::OK();
+          }
+          return out.Add(std::move(joined), dc * rc);
+        });
   });
   if (!st.ok()) return st;
   return out;

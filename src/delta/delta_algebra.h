@@ -46,17 +46,17 @@ std::vector<std::string> EquiProbeAttrs(
     const std::vector<std::string>& indexed_side);
 
 /// Δ ⋈_cond (π_project σ_select(repo)) — resp. the mirror-image join when
-/// \p delta_left is false — probing a persistent \p index on \p repo instead
-/// of materializing the term relation and hashing it per call. The index
-/// must have been built on \p repo and its attribute set must equal the
-/// term-side equi attributes of \p cond (FailedPrecondition otherwise;
-/// callers fall back to the unindexed path). Result schema is
-/// delta ++ term (or term ++ delta) exactly as DeltaJoinRelation /
-/// RelationJoinDelta would produce over the materialized term.
+/// \p delta_left is false — where repo is the relation \p index is built
+/// on: probes the index instead of materializing the term relation and
+/// hashing it per call. The index's attribute set must equal the term-side
+/// equi attributes of \p cond (FailedPrecondition otherwise; callers fall
+/// back to the unindexed path). Result schema is delta ++ term (or
+/// term ++ delta) exactly as DeltaJoinRelation / RelationJoinDelta would
+/// produce over the materialized term.
 Result<Delta> JoinDeltaWithIndexedTerm(
-    const Delta& delta, const Relation& repo, const HashIndex& index,
-    const Expr::Ptr& term_select, const std::vector<std::string>& term_project,
-    const Expr::Ptr& join_cond, bool delta_left);
+    const Delta& delta, const KeyIndex& index, const Expr::Ptr& term_select,
+    const std::vector<std::string>& term_project, const Expr::Ptr& join_cond,
+    bool delta_left);
 
 /// "Filters" a source-relation delta so it applies to a leaf-parent node
 /// defined as π_attrs σ_cond(source relation) (§6.2): select then project.

@@ -212,16 +212,8 @@ Result<IupStats> Iup::RunKernel(
   // persistent indexes), and FireSpj itself refuses indexed access to
   // new-state self-join occurrences, where the repository is stale.
   IndexProbeFn probes = [this](const std::string& node,
-                                const std::vector<std::string>& attrs)
-      -> IndexedState {
-    IndexedState out;
-    const HashIndex* index = store_->indexes().Find(node, attrs);
-    if (index == nullptr) return out;
-    auto repo = store_->Repo(node);
-    if (!repo.ok()) return out;
-    out.repo = *repo;
-    out.index = index;
-    return out;
+                                const std::vector<std::string>& attrs) {
+    return store_->Index(node, attrs);
   };
 
   IupStats stats;

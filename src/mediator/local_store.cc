@@ -103,10 +103,14 @@ LocalStore::LocalStore(const Vdp* vdp, const Annotation* ann)
     repos_.emplace(name, Repository(Relation(std::move(schema).value(),
                                              node->semantics())));
   }
-  AdviseIndexes(*vdp_, *ann_, &indexes_);
-  for (const auto& [name, repo] : repos_) {
-    // Repos are empty here; this just instantiates the advised indexes.
-    (void)indexes_.Rebuild(name, repo.live);
+  for (auto& [name, specs] : AdviseIndexes(*vdp_, *ann_)) {
+    auto it = repos_.find(name);
+    if (it == repos_.end()) continue;
+    for (auto& attrs : specs) {
+      // The advisor names only attributes the repository holds.
+      auto index = KeyIndex::Build(it->second.live, std::move(attrs));
+      if (index.ok()) it->second.indexes.push_back(std::move(index).value());
+    }
   }
 }
 
@@ -135,11 +139,14 @@ Result<const Relation*> LocalStore::Repo(const std::string& node) const {
   return &it->second.live;
 }
 
-Result<Relation*> LocalStore::MutableRepo(const std::string& node) {
-  SQ_ASSIGN_OR_RETURN(Repository* repo, FindRepo(node));
-  repo->dirty = true;
-  Invalidate(repo);
-  return &repo->live;
+const KeyIndex* LocalStore::Index(const std::string& node,
+                                 const std::vector<std::string>& attrs) const {
+  auto it = repos_.find(node);
+  if (it == repos_.end()) return nullptr;
+  for (const KeyIndex& index : it->second.indexes) {
+    if (SameAttrSet(index.attrs(), attrs)) return &index;
+  }
+  return nullptr;
 }
 
 Status LocalStore::SetRepo(const std::string& node, Relation contents) {
@@ -151,14 +158,10 @@ Status LocalStore::SetRepo(const std::string& node, Relation contents) {
         " do not match the materialized attribute set");
   }
   repo->live = std::move(contents);
+  for (KeyIndex& index : repo->indexes) index.Rebuild();
   repo->dirty = true;
   Invalidate(repo);
-  return indexes_.Rebuild(node, repo->live);
-}
-
-Status LocalStore::RebuildIndexes(const std::string& node) {
-  SQ_ASSIGN_OR_RETURN(Repository* repo, FindRepo(node));
-  return indexes_.Rebuild(node, repo->live);
+  return Status::OK();
 }
 
 Status LocalStore::ApplyNodeDelta(const std::string& node,
@@ -172,14 +175,13 @@ Status LocalStore::ApplyNodeDelta(const std::string& node,
     SQ_ASSIGN_OR_RETURN(narrowed, DeltaProject(full_delta, repo_attrs));
     delta = &narrowed;
   }
-  SQ_RETURN_IF_ERROR(ApplyDelta(&repo->live, *delta));
+  SQ_RETURN_IF_ERROR(ApplyIndexed(&repo->live, *delta, repo->indexes));
   // Log the change the moment the repository has absorbed it, so the log
   // matches the repository even if a later step fails. Reading latest_
   // without the lock is fine: only this (writer) thread replaces it.
   if (latest_ != nullptr) {
     repo->log.emplace_back(next_snapshot_version_, *delta);
   }
-  SQ_RETURN_IF_ERROR(indexes_.ApplyDelta(node, *delta));
   if (apply_listener_) apply_listener_(node, *delta);
   return Status::OK();
 }
@@ -274,10 +276,12 @@ void LocalStore::EnsureSnapshotVersionAtLeast(uint64_t version) {
 
 void LocalStore::Wipe() {
   for (auto& [name, repo] : repos_) {
-    // A fresh slot: copies pinned across the wipe find theirs gone.
-    repo = Repository(Relation(repo.live.schema(), repo.live.semantics()));
-    // The constructor indexed this same empty relation, so this cannot fail.
-    (void)indexes_.Rebuild(name, repo.live);
+    // A fresh slot: copies pinned across the wipe find theirs gone. The
+    // indexes move over to the emptied relation, which keeps its address.
+    Repository wiped(Relation(repo.live.schema(), repo.live.semantics()));
+    wiped.indexes = std::move(repo.indexes);
+    repo = std::move(wiped);
+    for (KeyIndex& index : repo.indexes) index.Rebuild();
   }
   StoreSnapshotPtr dropped;
   std::lock_guard<std::mutex> lock(snap_mu_);

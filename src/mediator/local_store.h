@@ -65,10 +65,9 @@ class LocalStore {
  public:
   /// Creates empty repositories per \p vdp and \p ann (neither owned; both
   /// must outlive the store). Leaves and fully virtual nodes get none.
-  /// An index-advisor pass over the VDP's terms registers the equi-join
-  /// attribute sets that rule firing and VAP key-based construction probe,
-  /// and every registered index is kept in lock-step with its repository
-  /// from then on.
+  /// Each repository is indexed on the attribute sets AdviseIndexes names
+  /// for it, and every change to a repository keeps its indexes exact from
+  /// then on.
   LocalStore(const Vdp* vdp, const Annotation* ann);
 
   /// True iff \p node has a repository (>= 1 materialized attribute).
@@ -77,17 +76,9 @@ class LocalStore {
   /// The repository of \p node; NotFound for virtual nodes/leaves.
   Result<const Relation*> Repo(const std::string& node) const;
 
-  /// Mutable repository access (initial load). Direct mutation bypasses
-  /// index maintenance; callers must RebuildIndexes(node) afterwards. It
-  /// bypasses the snapshot delta log too, so the mutation must be done
-  /// before the next PublishSnapshot, which copies the node whole.
-  Result<Relation*> MutableRepo(const std::string& node);
-
-  /// Rebuilds every registered index on \p node from its repository.
-  Status RebuildIndexes(const std::string& node);
-
-  /// Replaces the repository contents of \p node. The relation's attribute
-  /// names must equal the node's materialized attributes.
+  /// Replaces the repository contents of \p node and rebuilds its indexes.
+  /// The relation's attribute names must equal the node's materialized
+  /// attributes.
   Status SetRepo(const std::string& node, Relation contents);
 
   /// Applies a full-attribute node delta to the repository, narrowing it to
@@ -120,13 +111,16 @@ class LocalStore {
   /// The annotation this store serves.
   const Annotation& annotation() const { return *ann_; }
 
-  /// The persistent index registry.
-  const IndexManager& indexes() const { return indexes_; }
+  /// The index on \p node's repository keyed on \p attrs (as a set), or
+  /// null when there is none. It tracks the live repository, not a
+  /// snapshot.
+  const KeyIndex* Index(const std::string& node,
+                        const std::vector<std::string>& attrs) const;
 
   // ---- MVCC snapshots -----------------------------------------------------
   //
   // Threading contract: exactly one writer thread mutates the repositories
-  // (MutableRepo/SetRepo/ApplyNodeDelta/Wipe) and calls PublishSnapshot; any
+  // (SetRepo/ApplyNodeDelta/Wipe) and calls PublishSnapshot; any
   // number of reader threads may call Snapshot() concurrently and read
   // through the returned pointer without further synchronization. A reader
   // that drops the last reference to a superseded snapshot hands its copies
@@ -174,6 +168,8 @@ class LocalStore {
     explicit Repository(Relation empty);
 
     Relation live;
+    /// Indexes on `live`, changed only by ApplyIndexed or a rebuild.
+    std::vector<KeyIndex> indexes;
     /// Mutated since the last publish.
     bool dirty = false;
     /// The narrowed deltas the repository absorbed, in order, each tagged
@@ -200,7 +196,6 @@ class LocalStore {
   const Vdp* vdp_;
   const Annotation* ann_;
   std::map<std::string, Repository> repos_;
-  IndexManager indexes_;
   ApplyListener apply_listener_;
   uint64_t snapshot_copies_ = 0;
 

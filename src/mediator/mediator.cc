@@ -795,13 +795,15 @@ void Mediator::OnSnapshotAnswer(SnapshotAnswer ans) {
     auto iit = current_inflight_->find(name);
     if (iit != current_inflight_->end()) in_transit = iit->second;
   }
+  // A partial in-transit delta would make the corrective re-apply or drop
+  // changes, so failing to assemble it takes the corrective-failure path.
   auto pending = queue_.PendingFrom(name);
-  if (pending.ok()) {
-    Status s = in_transit.SmashInPlace(pending.value());
-    if (!s.ok()) SQ_LOG(kError) << "in-transit smash failed: " << s.ToString();
-  } else {
-    SQ_LOG(kError) << "pending snapshot failed: "
-                   << pending.status().ToString();
+  Status merged = pending.status();
+  if (merged.ok()) merged = in_transit.SmashInPlace(pending.value());
+  if (!merged.ok()) {
+    SQ_LOG(kError) << "in-transit delta failed: " << merged.ToString();
+    RequestSnapshot(rt);  // retry from scratch under a fresh id
+    return;
   }
   auto corrective = resync_.Corrective(name, in_transit, ans.relations);
   if (!corrective.ok()) {

@@ -407,17 +407,16 @@ Result<Relation> Vap::Assemble(const TempRequest& req, const TempStore& temps,
     // Join own x child on the key, dropping the child's duplicate key cols.
     // The probe key follows the index's attribute order (which may differ
     // from key_based->key for a persistent index found by attr *set*).
-    auto probe_join = [&](const HashIndex& index,
-                          const Schema& probed_schema) -> Result<Relation> {
+    auto probe_join = [&](const KeyIndex& index) -> Result<Relation> {
+      const Schema& probed_schema = index.relation().schema();
       std::vector<size_t> own_key_pos;
       for (const auto& k : index.attrs()) {
         own_key_pos.push_back(*own.schema().IndexOf(k));
       }
-      std::vector<std::string> extra;  // child attrs not already in `own`
-      std::vector<size_t> extra_pos;   // ... by position in probed_schema
+      // Child attrs not already in `own`, by position in probed_schema.
+      std::vector<size_t> extra_pos;
       for (const auto& a : key_based->child_attrs) {
         if (!own.schema().Contains(a)) {
-          extra.push_back(a);
           extra_pos.push_back(*probed_schema.IndexOf(a));
         }
       }
@@ -427,34 +426,28 @@ Result<Relation> Vap::Assemble(const TempRequest& req, const TempStore& temps,
       Status st = Status::OK();
       own.ForEach([&](const Tuple& t, int64_t count) {
         if (!st.ok()) return;
-        for (const auto& [ct, cc] : index.Probe(t.Project(own_key_pos))) {
-          Tuple row = t;
-          for (size_t p : extra_pos) row.Append(ct.at(p));
-          st = joined.Insert(std::move(row), count * cc);
-        }
+        st = index.ForEachMatch(
+            t, own_key_pos, [&](const Tuple& ct, int64_t cc) {
+              Tuple row = t;
+              for (size_t p : extra_pos) row.Append(ct.at(p));
+              return joined.Insert(std::move(row), count * cc);
+            });
       });
       if (!st.ok()) return st;
       return joined;
     };
     // Child part: prefer the store's persistent (child, key) index over
-    // projecting the child state and building a throwaway hash table. The
-    // persistent index holds full repository tuples; probing it and summing
+    // projecting the child state and indexing the projection. The
+    // persistent index covers full repository tuples; probing it and summing
     // per-tuple counts is equivalent to probing the bag projection, because
     // repository tuples that agree on the projected attrs produce identical
     // rows whose counts Relation::Insert accumulates.
     // Snapshot reads bypass the persistent indexes: they track the LIVE
     // repositories, which may already have moved past this snapshot.
-    const HashIndex* repo_index = nullptr;
-    const Relation* child_repo = nullptr;
+    const KeyIndex* repo_index = nullptr;
     if (snap == nullptr &&
         RepoCovers(key_based->child, key_based->child_attrs)) {
-      SQ_ASSIGN_OR_RETURN(child_repo, store_->Repo(key_based->child));
-      repo_index = store_->indexes().Find(key_based->child, key_based->key);
-      if (repo_index != nullptr &&
-          repo_index->relation_attrs() !=
-              child_repo->schema().AttributeNames()) {
-        repo_index = nullptr;  // registration no longer matches; fall back
-      }
+      repo_index = store_->Index(key_based->child, key_based->key);
     }
     auto child_based = [&]() -> Result<Relation> {
       SQ_ASSIGN_OR_RETURN(
@@ -463,14 +456,13 @@ Result<Relation> Vap::Assemble(const TempRequest& req, const TempStore& temps,
       SQ_ASSIGN_OR_RETURN(
           Relation child_proj,
           OpProject(*child, key_based->child_attrs, Semantics::kBag));
-      SQ_ASSIGN_OR_RETURN(HashIndex index,
-                          HashIndex::Build(child_proj, key_based->key));
-      return probe_join(index, child_proj.schema());
+      SQ_ASSIGN_OR_RETURN(KeyIndex index,
+                          KeyIndex::Build(child_proj, key_based->key));
+      return probe_join(index);
     };
-    SQ_ASSIGN_OR_RETURN(Relation joined,
-                        repo_index != nullptr
-                            ? probe_join(*repo_index, child_repo->schema())
-                            : child_based());
+    SQ_ASSIGN_OR_RETURN(Relation joined, repo_index != nullptr
+                                             ? probe_join(*repo_index)
+                                             : child_based());
     SQ_ASSIGN_OR_RETURN(Relation selected, OpSelect(joined, req_cond));
     return OpProject(selected, req.attrs, Semantics::kBag);
   }

@@ -2,87 +2,86 @@
 
 #include <algorithm>
 
+#include "common/strings.h"
+
 namespace squirrel {
 
-const std::vector<std::pair<Tuple, int64_t>> HashIndex::kEmpty = {};
-
-Result<HashIndex> HashIndex::Build(const Relation& rel,
-                                   const std::vector<std::string>& attrs) {
-  HashIndex index;
-  index.attrs_ = attrs;
-  index.rel_attrs_ = rel.schema().AttributeNames();
-  index.positions_.reserve(attrs.size());
+Result<KeyIndex> KeyIndex::Build(const Relation& rel,
+                                 std::vector<std::string> attrs) {
+  std::vector<size_t> positions;
+  positions.reserve(attrs.size());
   for (const auto& a : attrs) {
     auto idx = rel.schema().IndexOf(a);
     if (!idx) return Status::NotFound("index attribute not in schema: " + a);
-    index.positions_.push_back(*idx);
+    positions.push_back(*idx);
   }
-  rel.ForEach([&](const Tuple& t, int64_t count) {
-    index.buckets_[t.Project(index.positions_)].emplace_back(t, count);
-  });
+  KeyIndex index(&rel, std::move(attrs), std::move(positions));
+  index.Rebuild();
   return index;
 }
 
-const std::vector<std::pair<Tuple, int64_t>>& HashIndex::Probe(
-    const Tuple& key) const {
-  auto it = buckets_.find(key);
-  return it == buckets_.end() ? kEmpty : it->second;
+void KeyIndex::Rebuild() {
+  entries_ = {};
+  entries_.reserve(rel_->DistinctSize());
+  for (const Row& row : rel_->rows()) Add(&row);
 }
 
-Status HashIndex::ApplyDelta(const Delta& delta) {
-  if (delta.schema().AttributeNames() != rel_attrs_) {
-    return Status::InvalidArgument(
-        "delta schema does not match indexed relation");
+uint64_t KeyIndex::KeyHash(const Tuple& t, const std::vector<size_t>& pos) {
+  uint64_t h = 0xC0FFEEULL;
+  for (size_t p : pos) h = HashCombine(h, t.at(p).Hash());
+  return h;
+}
+
+bool KeyIndex::KeyEquals(const Tuple& row, const Tuple& probe,
+                         const std::vector<size_t>& key_pos) const {
+  for (size_t k = 0; k < positions_.size(); ++k) {
+    if (row.at(positions_[k]) != probe.at(key_pos[k])) return false;
   }
-  Status failure = Status::OK();
-  delta.ForEach([&](const Tuple& t, int64_t signed_count) {
-    if (!failure.ok() || signed_count == 0) return;
-    Tuple key = t.Project(positions_);
-    auto bucket_it = buckets_.find(key);
-    if (bucket_it == buckets_.end()) {
-      if (signed_count < 0) {
-        failure = Status::InvalidArgument(
-            "index delete of absent tuple: " + t.ToString());
-        return;
-      }
-      buckets_[std::move(key)].emplace_back(t, signed_count);
+  return true;
+}
+
+void KeyIndex::Add(const Row* row) {
+  entries_.emplace(KeyHash(row->first, positions_), row);
+}
+
+void KeyIndex::Remove(const Row* row) {
+  auto [lo, hi] = entries_.equal_range(KeyHash(row->first, positions_));
+  for (auto it = lo; it != hi; ++it) {
+    if (it->second == row) {
+      entries_.erase(it);
       return;
     }
-    auto& bucket = bucket_it->second;
-    auto entry = std::find_if(bucket.begin(), bucket.end(),
-                              [&](const auto& e) { return e.first == t; });
-    if (entry == bucket.end()) {
-      if (signed_count < 0) {
-        failure = Status::InvalidArgument(
-            "index delete of absent tuple: " + t.ToString());
-        return;
-      }
-      bucket.emplace_back(t, signed_count);
-      return;
+  }
+}
+
+Status ApplyIndexed(Relation* rel, const Delta& delta,
+                    std::span<KeyIndex> indexes) {
+  if (indexes.empty()) return ApplyDelta(rel, delta);
+  for (const KeyIndex& index : indexes) {
+    if (index.rel_ != rel) {
+      return Status::InvalidArgument("index is not built on this relation");
     }
-    entry->second += signed_count;
-    if (entry->second < 0) {
-      failure = Status::InvalidArgument(
-          "index count underflow for tuple: " + t.ToString());
-      return;
-    }
-    if (entry->second == 0) {
-      // Swap-pop: bucket order is not part of the index contract.
-      *entry = std::move(bucket.back());
-      bucket.pop_back();
-      if (bucket.empty()) buckets_.erase(bucket_it);
+  }
+  std::vector<const Tuple*> added;
+  delta.ForEach([&](const Tuple& t, int64_t count) {
+    auto it = rel->rows().find(t);
+    if (it == rel->rows().end()) {
+      if (count > 0) added.push_back(&t);
+    } else if (it->second + count <= 0) {
+      for (KeyIndex& index : indexes) index.Remove(&*it);
     }
   });
-  return failure;
+  Status st = ApplyDelta(rel, delta);
+  if (!st.ok()) {
+    for (KeyIndex& index : indexes) index.Rebuild();
+    return st;
+  }
+  for (const Tuple* t : added) {
+    const KeyIndex::Row* row = &*rel->rows().find(*t);
+    for (KeyIndex& index : indexes) index.Add(row);
+  }
+  return Status::OK();
 }
-
-size_t HashIndex::EntryCount() const {
-  size_t n = 0;
-  for (const auto& [key, bucket] : buckets_) n += bucket.size();
-  return n;
-}
-
-namespace {
 
 bool SameAttrSet(const std::vector<std::string>& a,
                  const std::vector<std::string>& b) {
@@ -91,52 +90,6 @@ bool SameAttrSet(const std::vector<std::string>& a,
   std::sort(sa.begin(), sa.end());
   std::sort(sb.begin(), sb.end());
   return sa == sb;
-}
-
-}  // namespace
-
-bool IndexManager::Register(const std::string& node,
-                            std::vector<std::string> attrs) {
-  auto& specs = specs_[node];
-  for (const auto& existing : specs) {
-    if (SameAttrSet(existing, attrs)) return false;
-  }
-  specs.push_back(std::move(attrs));
-  return true;
-}
-
-const HashIndex* IndexManager::Find(
-    const std::string& node, const std::vector<std::string>& attrs) const {
-  auto it = built_.find(node);
-  if (it == built_.end()) return nullptr;
-  for (const auto& index : it->second) {
-    if (SameAttrSet(index.attrs(), attrs)) return &index;
-  }
-  return nullptr;
-}
-
-Status IndexManager::Rebuild(const std::string& node, const Relation& rel) {
-  auto spec_it = specs_.find(node);
-  if (spec_it == specs_.end()) return Status::OK();
-  std::vector<HashIndex> rebuilt;
-  rebuilt.reserve(spec_it->second.size());
-  for (const auto& attrs : spec_it->second) {
-    auto index = HashIndex::Build(rel, attrs);
-    if (!index.ok()) return index.status();
-    rebuilt.push_back(std::move(*index));
-  }
-  built_[node] = std::move(rebuilt);
-  return Status::OK();
-}
-
-Status IndexManager::ApplyDelta(const std::string& node, const Delta& delta) {
-  auto it = built_.find(node);
-  if (it == built_.end()) return Status::OK();
-  for (auto& index : it->second) {
-    auto st = index.ApplyDelta(delta);
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
 }
 
 }  // namespace squirrel

@@ -1,19 +1,28 @@
-// Hash index over a subset of a relation's attributes.
+// The row index: which rows of a relation carry these key values?
 //
-// Used by the VAP's key-based construction (paper Example 2.3 and §5.3's
+// The VAP's key-based construction asks it (paper Example 2.3 and §5.3's
 // heuristic: "materialize key attributes so virtual attributes of a join
-// relation can be fetched efficiently from its underlying relations") and,
-// since the incremental-index layer, kept resident across update batches so
-// IUP rule firing probes persistent state instead of rebuilding hash tables
-// per delta (cf. §6.4: incremental maintenance should cost per-delta work,
-// not per-relation work).
+// relation can be fetched efficiently from its underlying relations"), IUP
+// rule firing asks it of sibling repositories so that maintenance costs
+// per-delta work, not per-relation work (§6.4), and a source answers
+// key-restricted polls with it.
+//
+// A KeyIndex copies no rows. Its entries point at the indexed relation's
+// own row entries, which std::unordered_map keeps at fixed addresses across
+// inserts and rehashes; a probe re-checks key equality on the row itself
+// and reads the row's count from the relation. Erasing a row, or replacing
+// the relation's contents, is the only change that leaves an entry
+// dangling, so an indexed relation changes only through ApplyIndexed, or is
+// followed by a Rebuild of every index on it.
 
 #ifndef SQUIRREL_RELATIONAL_INDEX_H_
 #define SQUIRREL_RELATIONAL_INDEX_H_
 
-#include <map>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -22,84 +31,86 @@
 
 namespace squirrel {
 
-/// \brief An in-memory hash index mapping projections of indexed attributes
-/// to the full tuples carrying them (with multiplicities).
-class HashIndex {
+/// \brief A hash index over one Relation, keyed by a projection of its
+/// attributes.
+class KeyIndex {
  public:
-  /// Builds an index on \p rel over \p attrs. The result can be kept
-  /// consistent with the relation by mirroring every ApplyDelta.
-  static Result<HashIndex> Build(const Relation& rel,
-                                 const std::vector<std::string>& attrs);
+  /// One of the indexed relation's (tuple, count) row entries.
+  using Row = std::pair<const Tuple, int64_t>;
 
-  /// All (tuple, count) entries whose indexed attributes equal \p key.
-  const std::vector<std::pair<Tuple, int64_t>>& Probe(const Tuple& key) const;
+  /// Indexes every row of \p rel on \p attrs; NotFound for an attribute
+  /// outside rel's schema. \p rel must stay at its address while the index
+  /// lives.
+  static Result<KeyIndex> Build(const Relation& rel,
+                                std::vector<std::string> attrs);
 
-  /// Incrementally maintains the index under \p delta, which must carry the
-  /// indexed relation's schema and obey the same strict non-redundancy rule
-  /// as ApplyDelta(Relation*, ...): a deletion atom must not drive any
-  /// tuple's count negative.
-  Status ApplyDelta(const Delta& delta);
+  KeyIndex(KeyIndex&&) = default;
+  KeyIndex& operator=(KeyIndex&&) = default;
+  // A copy would be a second view of the same rows that nothing maintains.
+  KeyIndex(const KeyIndex&) = delete;
+  KeyIndex& operator=(const KeyIndex&) = delete;
 
-  /// Number of distinct index keys.
-  size_t KeyCount() const { return buckets_.size(); }
-
-  /// Total number of (tuple, count) entries across all buckets.
-  size_t EntryCount() const;
-
-  /// Indexed attribute names.
+  /// The indexed relation.
+  const Relation& relation() const { return *rel_; }
+  /// Indexed attribute names, in key order.
   const std::vector<std::string>& attrs() const { return attrs_; }
+  /// Number of indexed rows (the relation's distinct size).
+  size_t size() const { return entries_.size(); }
 
-  /// Attribute names of the indexed relation's schema (ApplyDelta deltas
-  /// must match these).
-  const std::vector<std::string>& relation_attrs() const {
-    return rel_attrs_;
+  /// Calls fn(tuple, count) for every row whose indexed attributes equal
+  /// the values of \p probe at \p key_pos (one position per attrs() entry,
+  /// in key order), stopping at the first error fn returns. Equality is
+  /// Value's: NULL matches NULL, 5 matches 5.0.
+  template <typename Fn>
+  Status ForEachMatch(const Tuple& probe, const std::vector<size_t>& key_pos,
+                      Fn&& fn) const {
+    auto [lo, hi] = entries_.equal_range(KeyHash(probe, key_pos));
+    for (auto it = lo; it != hi; ++it) {
+      const Row& row = *it->second;
+      if (!KeyEquals(row.first, probe, key_pos)) continue;  // hash collision
+      SQ_RETURN_IF_ERROR(fn(row.first, row.second));
+    }
+    return Status::OK();
   }
 
+  /// Re-indexes every row of the relation, after its contents were replaced
+  /// (its schema must not have changed).
+  void Rebuild();
+
  private:
+  friend Status ApplyIndexed(Relation* rel, const Delta& delta,
+                             std::span<KeyIndex> indexes);
+
+  KeyIndex(const Relation* rel, std::vector<std::string> attrs,
+           std::vector<size_t> positions)
+      : rel_(rel), attrs_(std::move(attrs)), positions_(std::move(positions)) {}
+
+  static uint64_t KeyHash(const Tuple& t, const std::vector<size_t>& pos);
+  bool KeyEquals(const Tuple& row, const Tuple& probe,
+                 const std::vector<size_t>& key_pos) const;
+  void Add(const Row* row);
+  void Remove(const Row* row);
+
+  const Relation* rel_;
   std::vector<std::string> attrs_;
-  std::vector<std::string> rel_attrs_;
-  /// Positions of attrs_ within the indexed relation's schema.
+  /// Positions of attrs_ in the relation's schema.
   std::vector<size_t> positions_;
-  std::unordered_map<Tuple, std::vector<std::pair<Tuple, int64_t>>, TupleHash>
-      buckets_;
-  static const std::vector<std::pair<Tuple, int64_t>> kEmpty;
+  /// Key hash -> row entry.
+  std::unordered_multimap<uint64_t, const Row*> entries_;
 };
 
-/// \brief Registry of persistent indexes keyed by node (repository) name.
-///
-/// The index advisor registers the attribute sets that IUP rule firing and
-/// VAP key-based construction will probe; LocalStore then keeps every
-/// registered index in lock-step with its repository by mirroring each
-/// applied delta. Lookup is by attribute *set* (order-insensitive) so the
-/// same index serves syntactically different but equivalent probe specs.
-class IndexManager {
- public:
-  /// Registers a desired index on \p node over \p attrs. Duplicate attr
-  /// sets (in any order) collapse to one index. Returns true if this is a
-  /// new spec. Registration alone does not build; call Rebuild.
-  bool Register(const std::string& node, std::vector<std::string> attrs);
+/// Applies \p delta to \p rel exactly as ApplyDelta does and keeps every
+/// index in \p indexes, each built on \p rel, exact: the rows the apply will
+/// erase leave the indexes while their entries still exist, the apply runs,
+/// and the rows it added join. Rows whose count merely changes need nothing.
+/// If the apply fails (it may have stopped part-way), every index is rebuilt
+/// from what the relation then holds and the failure is returned.
+Status ApplyIndexed(Relation* rel, const Delta& delta,
+                    std::span<KeyIndex> indexes);
 
-  /// A maintained index on \p node whose attr set equals \p attrs (as a
-  /// set), or nullptr when none is built.
-  const HashIndex* Find(const std::string& node,
-                        const std::vector<std::string>& attrs) const;
-
-  /// (Re)builds every registered index for \p node from \p rel.
-  Status Rebuild(const std::string& node, const Relation& rel);
-
-  /// Mirrors \p delta into every built index on \p node.
-  Status ApplyDelta(const std::string& node, const Delta& delta);
-
-  /// Registered specs per node (attr lists as registered, deduped by set).
-  const std::map<std::string, std::vector<std::vector<std::string>>>& specs()
-      const {
-    return specs_;
-  }
-
- private:
-  std::map<std::string, std::vector<std::vector<std::string>>> specs_;
-  std::map<std::string, std::vector<HashIndex>> built_;
-};
+/// True iff \p a and \p b name the same attributes, in any order.
+bool SameAttrSet(const std::vector<std::string>& a,
+                 const std::vector<std::string>& b);
 
 }  // namespace squirrel
 

@@ -66,46 +66,8 @@ Result<Relation> OpProject(const Relation& in,
   return out;
 }
 
-namespace {
-
-/// True iff \p index was built on a relation with \p schema's attributes
-/// and its indexed attr set equals the side's equi-conjunct attrs. On
-/// success fills \p probe_pos with the positions (in the *other* side's
-/// schema) producing probe keys in the index's attribute order.
-bool IndexCoversEqui(const HashIndex* index, const Schema& schema,
-                     const Schema& other_schema,
-                     const std::vector<EquiJoinPair>& equi, bool index_is_right,
-                     std::vector<size_t>* probe_pos) {
-  if (index == nullptr || equi.empty()) return false;
-  if (index->relation_attrs() != schema.AttributeNames()) return false;
-  if (index->attrs().size() != equi.size()) return false;
-  probe_pos->clear();
-  probe_pos->reserve(equi.size());
-  for (const auto& indexed_attr : index->attrs()) {
-    bool found = false;
-    for (const auto& p : equi) {
-      const std::string& own = index_is_right ? p.right_attr : p.left_attr;
-      const std::string& other = index_is_right ? p.left_attr : p.right_attr;
-      if (own == indexed_attr) {
-        probe_pos->push_back(*other_schema.IndexOf(other));
-        found = true;
-        break;
-      }
-    }
-    if (!found) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 Result<Relation> OpJoin(const Relation& left, const Relation& right,
                         const Expr::Ptr& cond) {
-  return OpJoin(left, right, cond, JoinIndexHint{});
-}
-
-Result<Relation> OpJoin(const Relation& left, const Relation& right,
-                        const Expr::Ptr& cond, const JoinIndexHint& hint) {
   SQ_ASSIGN_OR_RETURN(Schema out_schema,
                       left.schema().Concat(right.schema()));
   Expr::Ptr c = cond ? cond : Expr::True();
@@ -140,27 +102,7 @@ Result<Relation> OpJoin(const Relation& left, const Relation& right,
     st = out.Insert(std::move(joined), lc * rc);
   };
 
-  std::vector<size_t> index_probe_pos;
-  if (IndexCoversEqui(hint.right, right.schema(), left.schema(), parts.equi,
-                      /*index_is_right=*/true, &index_probe_pos)) {
-    left.ForEach([&](const Tuple& lt, int64_t lc) {
-      if (!st.ok()) return;
-      for (const auto& [rt, rc] : hint.right->Probe(
-               lt.Project(index_probe_pos))) {
-        emit(lt, lc, rt, rc);
-      }
-    });
-  } else if (IndexCoversEqui(hint.left, left.schema(), right.schema(),
-                             parts.equi, /*index_is_right=*/false,
-                             &index_probe_pos)) {
-    right.ForEach([&](const Tuple& rt, int64_t rc) {
-      if (!st.ok()) return;
-      for (const auto& [lt, lc] : hint.left->Probe(
-               rt.Project(index_probe_pos))) {
-        emit(lt, lc, rt, rc);
-      }
-    });
-  } else if (!parts.equi.empty()) {
+  if (!parts.equi.empty()) {
     // Hash join: build on the side with the smaller total (bag) size —
     // under bag semantics DistinctSize alone mis-ranks a side with few
     // distinct rows but huge multiplicities. Break ties on distinct size.

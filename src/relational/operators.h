@@ -20,7 +20,6 @@
 #include "common/status.h"
 #include "relational/algebra.h"
 #include "relational/expr.h"
-#include "relational/index.h"
 #include "relational/relation.h"
 
 namespace squirrel {
@@ -33,26 +32,11 @@ Result<Relation> OpProject(const Relation& in,
                            const std::vector<std::string>& attrs,
                            Semantics out_semantics = Semantics::kBag);
 
-/// Pre-built indexes a caller can lend to OpJoin so it probes persistent
-/// state instead of rebuilding a hash table. An index is used only when it
-/// was built on the corresponding input's schema and its attribute set
-/// equals the equi-conjunct attributes on that side; otherwise OpJoin
-/// silently falls back to its own build.
-struct JoinIndexHint {
-  const HashIndex* left = nullptr;
-  const HashIndex* right = nullptr;
-};
-
 /// in1 ⋈_cond in2. Uses a hash join on the equi-conjuncts of \p cond with a
 /// residual filter; falls back to a nested loop if no equi-conjunct exists.
 /// Attribute names of the inputs must be disjoint.
 Result<Relation> OpJoin(const Relation& left, const Relation& right,
                         const Expr::Ptr& cond);
-
-/// As above, but probes \p hint indexes covering the equi-conjuncts when
-/// available instead of building a fresh hash table.
-Result<Relation> OpJoin(const Relation& left, const Relation& right,
-                        const Expr::Ptr& cond, const JoinIndexHint& hint);
 
 /// left ∪ right. Schemas must have identical attribute names and types.
 Result<Relation> OpUnion(const Relation& left, const Relation& right,

@@ -1,7 +1,6 @@
 #include "source/source_db.h"
 
 #include <limits>
-#include <unordered_set>
 
 #include "relational/operators.h"
 
@@ -63,7 +62,10 @@ Status SourceDb::Commit(Time now, const MultiDelta& delta) {
     }
   }
   for (const auto& rel_name : delta.RelationNames()) {
-    SQ_RETURN_IF_ERROR(ApplyIndexed(rel_name, *delta.Find(rel_name)));
+    auto iit = key_indexes_.find(rel_name);
+    SQ_RETURN_IF_ERROR(ApplyIndexed(
+        &relations_.at(rel_name), *delta.Find(rel_name),
+        iit == key_indexes_.end() ? std::span<KeyIndex>() : iit->second));
   }
   log_.push_back({now, delta});
   for (const auto& fn : commit_listeners_) fn(now, delta);
@@ -134,78 +136,33 @@ Result<Relation> SourceDb::Query(const std::string& rel_name,
   std::vector<size_t> positions;
   positions.reserve(attrs.size());
   for (const auto& a : attrs) positions.push_back(*schema.IndexOf(a));
-  const KeyIndex& index =
-      IndexFor(rel_name, *rel, *schema.IndexOf(in->attr_name()));
+  const KeyIndex& index = IndexFor(rel_name, *rel, in->attr_name());
   Relation out(std::move(out_schema), Semantics::kBag);
-  // Each row sits under exactly one hash, so probing every distinct member
-  // hash once visits each candidate row once.
-  std::unordered_set<uint64_t> probed;
+  // The members are distinct under Value equality (InList), so every
+  // candidate row is visited once.
+  const std::vector<size_t> key_pos = {0};
   for (const Value& member : in->in_list()->values()) {
-    const uint64_t hash = member.Hash();
-    if (!probed.insert(hash).second) continue;
-    auto [lo, hi] = index.equal_range(hash);
-    for (auto it = lo; it != hi; ++it) {
-      const RowEntry& row = *it->second;
-      SQ_ASSIGN_OR_RETURN(bool keep, bound.EvalBool(row.first));
-      if (keep) {
-        SQ_RETURN_IF_ERROR(
-            out.Insert(row.first.Project(positions), row.second));
-      }
-    }
+    SQ_RETURN_IF_ERROR(index.ForEachMatch(
+        Tuple({member}), key_pos,
+        [&](const Tuple& row, int64_t count) -> Status {
+          SQ_ASSIGN_OR_RETURN(bool keep, bound.EvalBool(row));
+          if (!keep) return Status::OK();
+          return out.Insert(row.Project(positions), count);
+        }));
   }
   return out;
 }
 
-const SourceDb::KeyIndex& SourceDb::IndexFor(const std::string& rel_name,
-                                             const Relation& rel,
-                                             size_t col) const {
-  auto [it, inserted] = key_indexes_[rel_name].try_emplace(col);
-  if (inserted) {
-    it->second.reserve(rel.DistinctSize());
-    for (const RowEntry& row : rel.rows()) {
-      it->second.emplace(row.first.at(col).Hash(), &row);
-    }
+const KeyIndex& SourceDb::IndexFor(const std::string& rel_name,
+                                   const Relation& rel,
+                                   const std::string& attr) const {
+  std::vector<KeyIndex>& indexes = key_indexes_[rel_name];
+  for (const KeyIndex& index : indexes) {
+    if (index.attrs().front() == attr) return index;
   }
-  return it->second;
-}
-
-Status SourceDb::ApplyIndexed(const std::string& rel_name,
-                              const Delta& delta) {
-  Relation& rel = relations_.at(rel_name);
-  auto iit = key_indexes_.find(rel_name);
-  if (iit == key_indexes_.end()) return ApplyDelta(&rel, delta);
-  std::map<size_t, KeyIndex>& indexes = iit->second;
-  std::vector<const Tuple*> fresh;  // tuples the apply adds as new entries
-  delta.ForEach([&](const Tuple& t, int64_t count) {
-    const int64_t before = rel.CountOf(t);
-    if (count > 0 && before == 0) {
-      fresh.push_back(&t);
-    } else if (count < 0 && before > 0 && before + count <= 0) {
-      const RowEntry* row = &*rel.rows().find(t);
-      for (auto& [col, index] : indexes) {
-        auto [lo, hi] = index.equal_range(t.at(col).Hash());
-        for (auto it = lo; it != hi; ++it) {
-          if (it->second == row) {
-            index.erase(it);
-            break;
-          }
-        }
-      }
-    }
-  });
-  Status st = ApplyDelta(&rel, delta);
-  if (!st.ok()) {
-    // A rejected apply may have stopped part-way; rebuild on next use.
-    key_indexes_.erase(iit);
-    return st;
-  }
-  for (const Tuple* t : fresh) {
-    const RowEntry* row = &*rel.rows().find(*t);
-    for (auto& [col, index] : indexes) {
-      index.emplace(t->at(col).Hash(), row);
-    }
-  }
-  return Status::OK();
+  // Query found attr in rel's schema, so the build cannot fail.
+  indexes.push_back(KeyIndex::Build(rel, {attr}).value());
+  return indexes.back();
 }
 
 void SourceDb::Restart(Time now) {

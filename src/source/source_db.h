@@ -13,13 +13,13 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "delta/delta.h"
 #include "relational/expr.h"
+#include "relational/index.h"
 #include "relational/relation.h"
 #include "sim/clock.h"
 
@@ -120,25 +120,16 @@ class SourceDb {
     MultiDelta delta;
   };
 
-  /// One relation's row entries keyed by Value::Hash of one attribute. The
-  /// pointers address the relation's own (node-stable) map entries, so the
-  /// index holds no tuple copies; a hash collision only adds a candidate
-  /// that the full condition then rejects.
-  using RowEntry = std::pair<const Tuple, int64_t>;
-  using KeyIndex = std::unordered_multimap<uint64_t, const RowEntry*>;
-
-  /// The index of \p rel on attribute position \p col, built on first use.
+  /// The index of \p rel on attribute \p attr, built on first use.
   const KeyIndex& IndexFor(const std::string& rel_name, const Relation& rel,
-                           size_t col) const;
-  /// Applies \p delta to \p rel_name, keeping its key indexes current:
-  /// entries about to be erased leave before the apply, new ones join after.
-  Status ApplyIndexed(const std::string& rel_name, const Delta& delta);
+                           const std::string& attr) const;
 
   std::string name_;
   std::map<std::string, Relation> relations_;
-  /// Key indexes by relation, then attribute position. Mutable: Query builds
-  /// them lazily (SourceDb is single-threaded, like its relations).
-  mutable std::map<std::string, std::map<size_t, KeyIndex>> key_indexes_;
+  /// Single-attribute key indexes by relation, kept exact by Commit through
+  /// ApplyIndexed. Mutable: Query builds them lazily (SourceDb is
+  /// single-threaded, like its relations).
+  mutable std::map<std::string, std::vector<KeyIndex>> key_indexes_;
   std::vector<LogEntry> log_;
   std::vector<std::function<void(Time, const MultiDelta&)>> commit_listeners_;
   std::vector<std::function<void(Time)>> restart_listeners_;

@@ -66,20 +66,17 @@ Result<Delta> FireSpj(const VdpNode& parent, const std::string& child,
       std::vector<std::string> equi = EquiProbeAttrs(
           cond, acc.schema().AttributeNames(), sibling.project);
       if (equi.empty()) return std::optional<Delta>();
-      IndexedState s = probes(sibling.child, equi);
-      if (s.repo == nullptr || s.index == nullptr) {
-        return std::optional<Delta>();
-      }
+      const KeyIndex* index = probes(sibling.child, equi);
+      if (index == nullptr) return std::optional<Delta>();
       // The repository must cover everything this term reads; otherwise the
       // unindexed path would have served a temp, not the repo (the index may
       // have been advised for a different term over the same child).
-      if (!s.repo->schema().ContainsAll(sibling.NeededAttrs())) {
+      if (!index->relation().schema().ContainsAll(sibling.NeededAttrs())) {
         return std::optional<Delta>();
       }
-      auto joined =
-          JoinDeltaWithIndexedTerm(acc, *s.repo, *s.index,
-                                   sibling.SelectOrTrue(), sibling.project,
-                                   cond, delta_left);
+      auto joined = JoinDeltaWithIndexedTerm(acc, *index,
+                                             sibling.SelectOrTrue(),
+                                             sibling.project, cond, delta_left);
       if (!joined.ok()) {
         // Coverage mismatch between advisor and firing: fall back silently.
         if (joined.status().code() == StatusCode::kFailedPrecondition) {
@@ -258,8 +255,15 @@ bool NamesCover(const std::vector<std::string>& haystack,
 
 }  // namespace
 
-void AdviseIndexes(const Vdp& vdp, const Annotation& ann,
-                   IndexManager* manager) {
+IndexSpecs AdviseIndexes(const Vdp& vdp, const Annotation& ann) {
+  IndexSpecs specs;
+  auto add = [&](const std::string& node, std::vector<std::string> attrs) {
+    auto& node_specs = specs[node];
+    for (const auto& existing : node_specs) {
+      if (SameAttrSet(existing, attrs)) return;
+    }
+    node_specs.push_back(std::move(attrs));
+  };
   for (const std::string& name : vdp.DerivedNames()) {
     const VdpNode* node = vdp.Find(name);
     if (!node || !node->def || node->def->kind() != NodeDef::Kind::kSpj) {
@@ -285,25 +289,41 @@ void AdviseIndexes(const Vdp& vdp, const Annotation& ann,
         // Only usable when the repo alone can serve the term (rule firing
         // checks the same coverage before probing).
         if (NamesCover(repo_attrs, term.NeededAttrs())) {
-          manager->Register(term.child, std::move(equi));
+          add(term.child, std::move(equi));
         }
       }
       prefix_attrs.insert(prefix_attrs.end(), term.project.begin(),
                           term.project.end());
     }
     // The VAP's key-based construction probes a materialized child by the
-    // child's key to fetch extra attributes for a hybrid parent.
+    // child's key to fetch a hybrid parent's virtual attributes. Vap::
+    // TryKeyBased chooses it only for a parent with a repository and at
+    // least one virtual attribute, and only for a term that projects the
+    // key and some virtual attribute, with the key materialized in the
+    // parent.
+    const std::vector<std::string> mat = ann.MaterializedAttrs(vdp, name);
+    if (mat.empty() || mat.size() == node->schema.size()) continue;
     for (const ChildTerm& term : def.terms()) {
       const VdpNode* child_node = vdp.Find(term.child);
-      if (!child_node || child_node->schema.key().empty()) continue;
+      if (!child_node) continue;
+      const std::vector<std::string>& key = child_node->schema.key();
+      const bool supplies_virtual = std::any_of(
+          term.project.begin(), term.project.end(),
+          [&](const std::string& a) {
+            return node->schema.Contains(a) && !NamesCover(mat, {a});
+          });
+      if (key.empty() || !supplies_virtual ||
+          !NamesCover(term.project, key) || !NamesCover(mat, key)) {
+        continue;
+      }
       std::vector<std::string> repo_attrs =
           ann.MaterializedAttrs(vdp, term.child);
-      if (!repo_attrs.empty() &&
-          NamesCover(repo_attrs, child_node->schema.key())) {
-        manager->Register(term.child, child_node->schema.key());
+      if (!repo_attrs.empty() && NamesCover(repo_attrs, key)) {
+        add(term.child, key);
       }
     }
   }
+  return specs;
 }
 
 }  // namespace squirrel

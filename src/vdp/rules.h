@@ -20,6 +20,7 @@
 #define SQUIRREL_VDP_RULES_H_
 
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -31,19 +32,12 @@
 
 namespace squirrel {
 
-/// A node's repository plus a persistent index over it, as served to rule
-/// firing. Either pointer may be null (repo doesn't cover the requested
-/// attrs / no index maintained on them) — firing then falls back to
-/// materializing the term and hashing it per call.
-struct IndexedState {
-  const Relation* repo = nullptr;
-  const HashIndex* index = nullptr;
-};
-
 /// Resolver the IUP hands to FireEdgeRules: given a sibling node and the
-/// equi-join attributes a rule wants to probe, returns the node's current
-/// repository and a maintained index keyed on exactly those attributes.
-using IndexProbeFn = std::function<IndexedState(
+/// equi-join attributes a rule wants to probe, returns a maintained index
+/// on the node's current repository keyed on exactly those attributes (as
+/// a set), or null when there is none — firing then falls back to
+/// materializing the term and hashing it per call.
+using IndexProbeFn = std::function<const KeyIndex*(
     const std::string& node, const std::vector<std::string>& attrs)>;
 
 /// Computes the contribution to parent's Δ repository from a change
@@ -72,13 +66,17 @@ Result<Delta> FireEdgeRules(const VdpNode& parent, const std::string& child,
                             const NodeStateFn& states,
                             const IndexProbeFn& probes);
 
-/// Index advisor: registers into \p manager the (node, attrs) specs that
-/// FireEdgeRules' SPJ rules and the VAP's key-based construction will probe
-/// for this VDP + annotation. Only children whose materialized repository
-/// covers the term's needed attrs are considered (others are served from
-/// VAP temps, which are transient). Run once per VDP at build time.
-void AdviseIndexes(const Vdp& vdp, const Annotation& ann,
-                   IndexManager* manager);
+/// Index specs by node: the attribute lists to keep a repository indexed on.
+using IndexSpecs = std::map<std::string, std::vector<std::vector<std::string>>>;
+
+/// Index advisor: the (node, attrs) indexes that FireEdgeRules' SPJ rules
+/// and the VAP's key-based construction will probe for this VDP +
+/// annotation, each attribute set once. A rule's sibling probe counts only
+/// when the sibling's repository covers the term's needed attrs (others are
+/// served from VAP temps, which are transient); a key-based probe counts
+/// only where Vap::TryKeyBased can choose it. Run once per VDP at build
+/// time.
+IndexSpecs AdviseIndexes(const Vdp& vdp, const Annotation& ann);
 
 }  // namespace squirrel
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "relational/index.h"
 #include "relational/operators.h"
 #include "testing/util.h"
 
@@ -139,6 +140,84 @@ TEST(DeltaAlgebraTest, JoinDeltaMatchesRecompute) {
   SQ_ASSERT_OK(ApplyDelta(&r2, d));
   SQ_ASSERT_OK_AND_ASSIGN(Relation expect, OpJoin(r2, s, Pred("b = c")));
   EXPECT_TRUE(t.EqualContents(expect));
+}
+
+// JoinDeltaWithIndexedTerm against the join it replaces: DeltaJoinRelation
+// (resp. RelationJoinDelta) over the materialized term π_project σ_select R.
+class IndexedDeltaJoinTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    repo_ = Relation(MakeSchema("R(k, x, y)"), Semantics::kBag);
+    const std::vector<std::pair<Tuple, int64_t>> rows = {
+        {Tuple({5, 1, 0}), 2},        {Tuple({5, 1, 2}), 1},
+        {Tuple({5.0, 2, 1}), 1},      {Tuple({Value(), 1, 0}), 1},
+        {Tuple({7, 3, 5}), 3},        {Tuple({0, 4, 0}), 1},
+        {Tuple({"s", 1, 0}), 1},      {Tuple({9, 9, 9}), 1}};
+    for (const auto& [t, c] : rows) SQ_ASSERT_OK(repo_.Insert(t, c));
+    delta_ = MakeDelta("D(d, e)", {{Tuple({5, 1}), 2},
+                                   {Tuple({5.0, 9}), -1},
+                                   {Tuple({Value(), 1}), 1},
+                                   {Tuple({7, 3}), -2},
+                                   {Tuple({-0.0, 4}), 1},
+                                   {Tuple({"s", 0}), 1},
+                                   {Tuple({8, 1}), 1}});
+  }
+
+  // Both join orientations through the index equal the unindexed join.
+  void ExpectParity(const std::vector<std::string>& key,
+                    const std::string& cond, const Expr::Ptr& select) {
+    SQ_ASSERT_OK_AND_ASSIGN(KeyIndex index, KeyIndex::Build(repo_, key));
+    const std::vector<std::string> project = {"k", "x"};
+    SQ_ASSERT_OK_AND_ASSIGN(Relation selected, OpSelect(repo_, select));
+    SQ_ASSERT_OK_AND_ASSIGN(Relation term,
+                            OpProject(selected, project, Semantics::kBag));
+    for (bool delta_left : {true, false}) {
+      SQ_ASSERT_OK_AND_ASSIGN(
+          Delta got, JoinDeltaWithIndexedTerm(delta_, index, select, project,
+                                              Pred(cond), delta_left));
+      SQ_ASSERT_OK_AND_ASSIGN(
+          Delta want, delta_left
+                          ? DeltaJoinRelation(delta_, term, Pred(cond))
+                          : RelationJoinDelta(term, delta_, Pred(cond)));
+      EXPECT_EQ(got.schema().AttributeNames(),
+                want.schema().AttributeNames());
+      EXPECT_EQ(got.ToString(), want.ToString())
+          << cond << " select " << select->ToString() << " delta_left "
+          << delta_left;
+      EXPECT_FALSE(want.Empty()) << cond;
+    }
+  }
+
+  Relation repo_;
+  Delta delta_;
+};
+
+TEST_F(IndexedDeltaJoinTest, MatchesDeltaJoinOverTheTermRelation) {
+  for (const Expr::Ptr& select : {Expr::True(), Pred("y < 3")}) {
+    ExpectParity({"k"}, "d = k", select);
+    ExpectParity({"k"}, "d = k AND e < x", select);  // residual conjunct
+    ExpectParity({"k", "x"}, "d = k AND e = x", select);
+    ExpectParity({"x", "k"}, "e = x AND k = d", select);
+  }
+}
+
+TEST_F(IndexedDeltaJoinTest, RefusesJoinsTheIndexDoesNotCover) {
+  SQ_ASSERT_OK_AND_ASSIGN(KeyIndex on_k, KeyIndex::Build(repo_, {"k"}));
+  SQ_ASSERT_OK_AND_ASSIGN(KeyIndex on_x, KeyIndex::Build(repo_, {"x"}));
+  const std::vector<std::string> project = {"k", "x"};
+  auto code = [&](const KeyIndex& index, const std::string& cond) {
+    return JoinDeltaWithIndexedTerm(delta_, index, Expr::True(), project,
+                                    Pred(cond), /*delta_left=*/true)
+        .status()
+        .code();
+  };
+  // No equi conjunct to probe.
+  EXPECT_EQ(code(on_k, "d < k"), StatusCode::kFailedPrecondition);
+  // The indexed attribute is not among the equi conjuncts.
+  EXPECT_EQ(code(on_x, "d = k"), StatusCode::kFailedPrecondition);
+  // An equi conjunct the probe would not enforce.
+  EXPECT_EQ(code(on_k, "d = k AND e = x"), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(code(on_k, "d = k"), StatusCode::kOk);
 }
 
 TEST(DeltaAlgebraTest, PresenceDeltaDetectsCrossings) {

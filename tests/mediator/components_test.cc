@@ -11,6 +11,7 @@
 #include "mediator/update_queue.h"
 #include "testing/util.h"
 #include "vdp/paper_examples.h"
+#include "vdp/rules.h"
 
 namespace squirrel {
 namespace {
@@ -61,32 +62,55 @@ TEST_F(LocalStoreTest, ApplyNodeDeltaNarrowsToMaterialized) {
 }
 
 TEST_F(LocalStoreTest, AdvisesAndMaintainsJoinIndexes) {
-  Annotation ann;  // fully materialized
+  Annotation ann;  // fully materialized (Example 2.1)
+  // T = R' join[r2 = s1] S': the advisor keeps equi indexes on both join
+  // sides and nothing else. T has no virtual attribute, so key-based
+  // construction never probes R' by its key r1.
+  EXPECT_EQ(AdviseIndexes(vdp_, ann),
+            (IndexSpecs{{"R'", {{"r2"}}}, {"S'", {{"s1"}}}}));
   LocalStore store(&vdp_, &ann);
-  // T = R' join[r2 = s1] S': the advisor must keep equi indexes on both
-  // join sides.
-  const HashIndex* r_idx = store.indexes().Find("R'", {"r2"});
-  const HashIndex* s_idx = store.indexes().Find("S'", {"s1"});
+  const KeyIndex* r_idx = store.Index("R'", {"r2"});
+  const KeyIndex* s_idx = store.Index("S'", {"s1"});
   ASSERT_NE(r_idx, nullptr);
   ASSERT_NE(s_idx, nullptr);
-  EXPECT_EQ(s_idx->EntryCount(), 0u);
+  EXPECT_EQ(store.Index("R'", {"r1"}), nullptr);
+  EXPECT_EQ(store.Index("T", {"r1"}), nullptr);
+  EXPECT_EQ(&s_idx->relation(), *store.Repo("S'"));
+  EXPECT_EQ(s_idx->size(), 0u);
 
-  // ApplyNodeDelta keeps the index mirroring the repository.
+  // ApplyNodeDelta keeps the index exact.
   Delta ins(vdp_.Find("S'")->schema);
   SQ_ASSERT_OK(ins.AddInsert(Tuple({100, 5})));
   SQ_ASSERT_OK(store.ApplyNodeDelta("S'", ins));
-  EXPECT_EQ(s_idx->EntryCount(), 1u);
-  EXPECT_EQ(s_idx->Probe(Tuple({100}))[0].first, Tuple({100, 5}));
+  EXPECT_EQ(s_idx->size(), 1u);
+  EXPECT_EQ(testing::ProbeRows(*s_idx, Tuple({100})), "(100, 5) ");
   Delta del(vdp_.Find("S'")->schema);
   SQ_ASSERT_OK(del.AddDelete(Tuple({100, 5})));
   SQ_ASSERT_OK(store.ApplyNodeDelta("S'", del));
-  EXPECT_EQ(s_idx->EntryCount(), 0u);
+  EXPECT_EQ(s_idx->size(), 0u);
+  // A rejected delta leaves the index matching the unchanged repository.
+  EXPECT_FALSE(store.ApplyNodeDelta("S'", del).ok());
+  EXPECT_EQ(s_idx->size(), 0u);
 
-  // SetRepo rebuilds from scratch.
+  // SetRepo rebuilds from scratch; Wipe empties.
   Relation fresh(vdp_.Find("S'")->schema, Semantics::kBag);
   SQ_ASSERT_OK(fresh.Insert(Tuple({200, 6}), 1));
   SQ_ASSERT_OK(store.SetRepo("S'", std::move(fresh)));
-  EXPECT_EQ(store.indexes().Find("S'", {"s1"})->EntryCount(), 1u);
+  EXPECT_EQ(store.Index("S'", {"s1"}), s_idx);
+  EXPECT_EQ(testing::ProbeRows(*s_idx, Tuple({200})), "(200, 6) ");
+  store.Wipe();
+  EXPECT_EQ(store.Index("S'", {"s1"}), s_idx);
+  EXPECT_EQ(s_idx->size(), 0u);
+
+  // A hybrid T[r1 m, r3 v, s1 m, s2 m] whose materialized R' supplies the
+  // virtual r3 by R's key r1 (materialized in T) adds R'(r1). S' could
+  // supply nothing virtual by its key s1, which the join index covers.
+  Annotation hybrid;
+  SQ_ASSERT_OK(hybrid.SetFromSpec(vdp_, "T", "r1 m, r3 v, s1 m, s2 m"));
+  EXPECT_EQ(AdviseIndexes(vdp_, hybrid),
+            (IndexSpecs{{"R'", {{"r2"}, {"r1"}}}, {"S'", {{"s1"}}}}));
+  LocalStore hybrid_store(&vdp_, &hybrid);
+  EXPECT_NE(hybrid_store.Index("R'", {"r1"}), nullptr);
 }
 
 TEST_F(LocalStoreTest, SetRepoValidatesSchema) {

@@ -406,7 +406,7 @@ TEST_F(MvccPublishTest, ReaderThreadRecyclesSupersededSnapshotWhilePublishing) {
   EXPECT_EQ(DumpSnap(*latest), DumpLive(*store_));
 }
 
-TEST_F(MvccPublishTest, SetRepoOrMutableRepoMakesTheNextPublishCopy) {
+TEST_F(MvccPublishTest, SetRepoMakesTheNextPublishCopy) {
   for (int i = 0; i < 3; ++i) {
     ApplyE(i, 10 + i, 7, 1);
     Publish();
@@ -422,10 +422,10 @@ TEST_F(MvccPublishTest, SetRepoOrMutableRepoMakesTheNextPublishCopy) {
   EXPECT_EQ(DumpSnap(*Publish()), DumpLive(*store_));
   EXPECT_EQ(store_->SnapshotCopies(), ++copies);
 
-  // So does a direct edit through MutableRepo.
-  SQ_ASSERT_OK_AND_ASSIGN(Relation* mut, store_->MutableRepo("E"));
-  SQ_ASSERT_OK(mut->Insert(Tuple({8, 8}), 2));
-  SQ_ASSERT_OK(store_->RebuildIndexes("E"));
+  // So does a second replacement right after that publish.
+  Relation edited = *e;
+  SQ_ASSERT_OK(edited.Insert(Tuple({8, 8}), 2));
+  SQ_ASSERT_OK(store_->SetRepo("E", std::move(edited)));
   EXPECT_EQ(DumpSnap(*Publish()), DumpLive(*store_));
   EXPECT_EQ(store_->SnapshotCopies(), ++copies);
 

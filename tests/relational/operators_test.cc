@@ -157,32 +157,6 @@ TEST(OperatorsTest, JoinBuildSideBySkewedBagTotals) {
   EXPECT_EQ(rev.DistinctSize(), 1u);
 }
 
-TEST(OperatorsTest, JoinWithIndexHintMatchesUnindexed) {
-  Relation r = MakeRelation("R(a, b)",
-                            {Tuple({1, 10}), Tuple({2, 20}), Tuple({3, 30})});
-  Relation s = MakeRelation("S(c, d)",
-                            {Tuple({1, 7}), Tuple({1, 8}), Tuple({9, 9})});
-  SQ_ASSERT_OK_AND_ASSIGN(Relation plain, OpJoin(r, s, Pred("a = c")));
-  SQ_ASSERT_OK_AND_ASSIGN(HashIndex right_idx, HashIndex::Build(s, {"c"}));
-  JoinIndexHint hint;
-  hint.right = &right_idx;
-  SQ_ASSERT_OK_AND_ASSIGN(Relation hinted, OpJoin(r, s, Pred("a = c"), hint));
-  EXPECT_EQ(Rows(hinted), Rows(plain));
-  // Left-side index is equally usable.
-  SQ_ASSERT_OK_AND_ASSIGN(HashIndex left_idx, HashIndex::Build(r, {"a"}));
-  JoinIndexHint lhint;
-  lhint.left = &left_idx;
-  SQ_ASSERT_OK_AND_ASSIGN(Relation lhinted, OpJoin(r, s, Pred("a = c"), lhint));
-  EXPECT_EQ(Rows(lhinted), Rows(plain));
-  // A hint that does not cover the equi attrs is ignored, not an error.
-  SQ_ASSERT_OK_AND_ASSIGN(HashIndex wrong_idx, HashIndex::Build(s, {"d"}));
-  JoinIndexHint whint;
-  whint.right = &wrong_idx;
-  SQ_ASSERT_OK_AND_ASSIGN(Relation fell_back,
-                          OpJoin(r, s, Pred("a = c"), whint));
-  EXPECT_EQ(Rows(fell_back), Rows(plain));
-}
-
 TEST(OperatorsTest, JoinRejectsDuplicateAttrNames) {
   Relation r = MakeRelation("R(a)", {Tuple({1})});
   Relation s = MakeRelation("S(a)", {Tuple({1})});

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "relational/index.h"
 #include "relational/parser.h"
 #include "relational/relation.h"
 
@@ -73,6 +75,19 @@ inline std::string Rows(const Relation& rel) {
     out += " ";
   }
   return out;
+}
+
+/// The rows \p index matches for the key tuple \p key (one value per
+/// indexed attribute, in key order), rendered like Rows().
+inline std::string ProbeRows(const KeyIndex& index, const Tuple& key) {
+  std::vector<size_t> key_pos(key.size());
+  std::iota(key_pos.begin(), key_pos.end(), size_t{0});
+  Relation hits(index.relation().schema(), Semantics::kBag);
+  Status st = index.ForEachMatch(
+      key, key_pos,
+      [&](const Tuple& row, int64_t count) { return hits.Insert(row, count); });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return Rows(hits);
 }
 
 }  // namespace testing
