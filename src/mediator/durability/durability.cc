@@ -396,7 +396,8 @@ Result<RecoveredState> DurabilityManager::Recover() {
     BinaryReader r(parsed[i].payload);
     SQ_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
     switch (tag) {
-      case kEnqueue: {
+      case kEnqueue:
+      case kEnqueueCoalesced: {
         SQ_ASSIGN_OR_RETURN(UpdateMessage msg, DecodeUpdateMessage(&r));
         auto& src = out.state.sources[msg.source];
         if (msg.epoch > src.epoch) {
@@ -409,34 +410,19 @@ Result<RecoveredState> DurabilityManager::Recover() {
                    msg.seq > src.last_update_seq) {
           src.last_update_seq = msg.seq;
         }
-        queue.push_back(std::move(msg));
-        break;
-      }
-      case kEnqueueCoalesced: {
-        SQ_ASSIGN_OR_RETURN(UpdateMessage msg, DecodeUpdateMessage(&r));
-        auto& src = out.state.sources[msg.source];
-        if (msg.epoch > src.epoch) {
-          src.epoch = msg.epoch;
-          src.last_update_seq = msg.seq;
-        } else if (msg.epoch == src.epoch && msg.seq != 0 &&
-                   msg.seq > src.last_update_seq) {
-          src.last_update_seq = msg.seq;
+        if (tag == kEnqueue) {
+          queue.push_back(std::move(msg));
+          break;
         }
         // The live queue merged this message into its tail; the replay
         // queue's tail is the same message (consumed-but-uncommitted
         // messages sit at the FRONT, and a coalesce is only recorded when
-        // the live queue was non-empty), so mirror the merge here.
+        // the live queue was non-empty), so apply the same merge here.
         if (queue.empty() || queue.back().source != msg.source) {
           return Status::Internal(
               "WAL replay: coalesced enqueue without a matching tail");
         }
-        UpdateMessage& tail = queue.back();
-        // Mirrors UpdateQueue::Enqueue's merge exactly (same inputs, same
-        // smash) so recovered state matches the survivor's byte for byte.
-        (void)tail.delta.SmashInPlace(msg.delta);
-        tail.seq = msg.seq;
-        tail.epoch = msg.epoch;
-        tail.send_time = msg.send_time;
+        UpdateQueue::MergeIntoTail(&queue.back(), msg);
         break;
       }
       case kTxnBegin: {

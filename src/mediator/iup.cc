@@ -277,14 +277,9 @@ Result<IupStats> Iup::RunKernel(
 }
 
 Result<IupStats> Iup::ProcessBatch(
-    const std::map<std::string, Delta>& leaf_deltas, const Vap::PollFn& poll,
-    const Vap::CompensationFn& comp) {
-  SQ_ASSIGN_OR_RETURN(std::vector<TempRequest> requests,
-                      PrepareTempRequests(leaf_deltas));
-  TempStore temps;
-  if (!requests.empty()) {
-    SQ_ASSIGN_OR_RETURN(temps, vap_->Materialize(requests, poll, comp));
-  }
+    const std::map<std::string, Delta>& leaf_deltas, const VapPlan& plan,
+    const Vap::PollFn& poll, const Vap::CompensationFn& comp) {
+  SQ_ASSIGN_OR_RETURN(TempStore temps, vap_->Execute(plan, poll, comp));
   SQ_ASSIGN_OR_RETURN(IupStats stats, RunKernel(leaf_deltas, &temps));
   stats.polls = temps.polls;
   stats.polled_tuples = temps.polled_tuples;

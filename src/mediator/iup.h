@@ -13,6 +13,9 @@
 //      against both the in-flight batch and the queue);
 //  (c) run the kernel with temporaries standing in for virtual data,
 //      keeping them up to date as nodes are processed.
+// Phase (a) and the VAP's planning run once per transaction, before any
+// poll is sent: PrepareTempRequests → Vap::Plan. ProcessBatch then runs
+// that plan, (b) and (c), when the poll answers are in.
 
 #ifndef SQUIRREL_MEDIATOR_IUP_H_
 #define SQUIRREL_MEDIATOR_IUP_H_
@@ -65,9 +68,11 @@ class Iup {
   Result<std::vector<TempRequest>> PrepareTempRequests(
       const std::map<std::string, Delta>& leaf_deltas) const;
 
-  /// Phases (a)+(b)+(c): the general IUP algorithm.
+  /// Phases (b)+(c) of the general IUP algorithm over \p plan, the
+  /// Vap::Plan of PrepareTempRequests(\p leaf_deltas): builds the
+  /// temporaries, runs the kernel, and records the poll and temp counts.
   Result<IupStats> ProcessBatch(const std::map<std::string, Delta>& leaf_deltas,
-                                const Vap::PollFn& poll,
+                                const VapPlan& plan, const Vap::PollFn& poll,
                                 const Vap::CompensationFn& comp);
 
   /// Phase (c) only: the Kernel Algorithm with caller-provided temporaries

@@ -12,6 +12,21 @@
 
 namespace squirrel {
 
+namespace {
+
+/// Re-request deadline for an unanswered SnapshotRequest: the request or its
+/// answer may be lost to a crash window.
+constexpr Time kSnapshotRetryDelay = 2.0;
+/// Delay before an update transaction whose WAL begin record the device
+/// rejected is retried.
+constexpr Time kWalBeginRetryDelay = 2.0;
+/// Subtracted from a query's deadline when it is forwarded in PollRequests,
+/// so the responder gives up before this mediator does and the rejection
+/// has time to travel back.
+constexpr Time kDeadlineMargin = 1.0;
+
+}  // namespace
+
 Result<std::unique_ptr<Mediator>> Mediator::Create(
     Vdp vdp, Annotation ann, std::vector<SourceSetup> sources,
     Scheduler* scheduler, MediatorOptions options) {
@@ -166,7 +181,7 @@ Mediator::SourceRuntime* Mediator::FindSource(const std::string& name) {
 Status Mediator::Start() {
   if (started_) return Status::FailedPrecondition("mediator already started");
   started_ = true;
-  view_init_time_ = scheduler_->Now();
+  const Time view_init_time = scheduler_->Now();
 
   // Wire channels, announcers (active sources), and poll responders.
   for (auto& rt : sources_) {
@@ -199,7 +214,7 @@ Status Mediator::Start() {
     rt->outbound->SetReceiver([responder](MediatorToSourceMsg msg) {
       responder->OnMessage(std::move(msg));
     });
-    rt->last_reflected_send = view_init_time_;
+    rt->last_reflected_send = view_init_time;
     // Believed-state mirrors start as copies of the live extents — the same
     // instant the initial load below reads, so mirror and view agree.
     const std::string& name = rt->setup.db->name();
@@ -260,7 +275,7 @@ Status Mediator::Start() {
   if (options_.record_trace) {
     TraceEntry entry;
     entry.kind = TxnKind::kInit;
-    entry.commit_time = view_init_time_;
+    entry.commit_time = view_init_time;
     entry.reflect = UpdateReflect();
     if (options_.snapshot_repos) {
       for (const auto& node : store_->MaterializedNodes()) {
@@ -403,23 +418,19 @@ void Mediator::OnSourceMessage(SourceToMediatorMsg msg) {
     // durable; recovery re-queues it and restores the dedup high-water mark.
     // The coalesce decision is taken BEFORE the record is written so replay
     // can mirror the live queue's tail-merge exactly.
-    if (durability_.wal_enabled()) {
-      Status ds = durability_.LogEnqueue(upd, queue_.WouldCoalesce(upd));
-      if (!ds.ok()) {
-        SQ_LOG(kError) << "WAL enqueue failed: " << ds.ToString();
-        ++stats_.wal_append_failures;
-        ++stats_.updates_dropped_wal;
-        // The announcement is NOT received: without a durable enqueue
-        // record a post-crash replay would lose it while the source
-        // believes it was acked. Drop it, leave the dedup floor untouched,
-        // and pull a snapshot to re-cover the content — the pull's retry
-        // loop converges once the device accepts writes again.
-        if (rt != nullptr && resync_.NeedsResync(upd.source) &&
-            resync_.Health(upd.source) == SourceHealth::kHealthy) {
-          BeginResync(rt, upd.epoch);
-        }
-        return;
+    if (!WalAppended(durability_.LogEnqueue(upd, queue_.WouldCoalesce(upd)),
+                     "enqueue")) {
+      ++stats_.updates_dropped_wal;
+      // The announcement is NOT received: without a durable enqueue record
+      // a post-crash replay would lose it while the source believes it was
+      // acked. Drop it, leave the dedup floor untouched, and pull a
+      // snapshot to re-cover the content — the pull's retry loop converges
+      // once the device accepts writes again.
+      if (rt != nullptr && resync_.NeedsResync(upd.source) &&
+          resync_.Health(upd.source) == SourceHealth::kHealthy) {
+        BeginResync(rt, upd.epoch);
       }
+      return;
     }
     // The dedup floor advances only once the record is durable (or the WAL
     // is off): a floor ahead of the log would suppress the very retransmits
@@ -564,9 +575,10 @@ void Mediator::IssuePolls(const VapPlan& plan, std::function<void()> done,
       // minus a margin, so the far side gives up before this side's own
       // deadline timer fires and the rejection has time to travel back.
       if (active_query_run_ != nullptr) {
-        req.qclass = active_query_run_->query.qclass;
-        if (Time d = active_query_run_->query.deadline; d > 0) {
-          Time fwd = d - options_.deadline_margin;
+        const ViewQuery& q = active_query_run_->prepared.query;
+        req.qclass = q.qclass;
+        if (Time d = q.deadline; d > 0) {
+          Time fwd = d - kDeadlineMargin;
           req.deadline = fwd > 0 ? fwd : d;
         }
       }
@@ -726,12 +738,7 @@ void Mediator::BeginResync(SourceRuntime* rt, uint64_t new_epoch) {
   ++stats_.resyncs_started;
   // WAL: recovery re-initiates the snapshot pull for any source whose
   // resync began but never logged its done record.
-  if (durability_.wal_enabled()) {
-    Status ds = durability_.LogResyncBegin(name, new_epoch);
-    if (!ds.ok()) {
-      SQ_LOG(kError) << "WAL resync-begin failed: " << ds.ToString();
-    }
-  }
+  WalAppended(durability_.LogResyncBegin(name, new_epoch), "resync-begin");
   if (options_.record_trace) {
     trace_->Note(scheduler_->Now(), "resync begin " + name + " epoch " +
                                         std::to_string(new_epoch));
@@ -751,7 +758,7 @@ void Mediator::RequestSnapshot(SourceRuntime* rt) {
   // The request or its answer can be lost to a crash window; re-request
   // under a fresh id (a late answer to this one is then dropped as stale)
   // until one lands.
-  AfterGuarded(options_.resync_retry_delay, [this, rt, id = req.id]() {
+  AfterGuarded(kSnapshotRetryDelay, [this, rt, id = req.id]() {
     if (resync_.OutstandingRequest(rt->setup.db->name()) == id) {
       if (options_.record_trace) {
         trace_->Note(scheduler_->Now(),
@@ -823,17 +830,13 @@ void Mediator::OnSnapshotAnswer(SnapshotAnswer ans) {
   fix.epoch = ans.epoch;
   fix.delta = std::move(corrective).value();
   const uint64_t atoms = fix.delta.AtomCount();
-  if (durability_.wal_enabled()) {
-    Status ds = durability_.LogEnqueue(fix, queue_.WouldCoalesce(fix));
-    if (!ds.ok()) {
-      // An unlogged corrective would vanish at the next crash while the
-      // dedup floor below had already advanced past it. Abandon this
-      // answer and pull again; the retry loop spans the device outage.
-      SQ_LOG(kError) << "WAL enqueue failed: " << ds.ToString();
-      ++stats_.wal_append_failures;
-      RequestSnapshot(rt);
-      return;
-    }
+  if (!WalAppended(durability_.LogEnqueue(fix, queue_.WouldCoalesce(fix)),
+                   "enqueue")) {
+    // An unlogged corrective would vanish at the next crash while the dedup
+    // floor below had already advanced past it. Abandon this answer and
+    // pull again; the retry loop spans the device outage.
+    RequestSnapshot(rt);
+    return;
   }
   queue_.Enqueue(std::move(fix));
   // The snapshot covers every announcement the source ever sent before it
@@ -843,12 +846,8 @@ void Mediator::OnSnapshotAnswer(SnapshotAnswer ans) {
   resync_.SetOutstandingRequest(name, 0);
   resync_.SetHealth(name, SourceHealth::kHealthy);
   ++stats_.resyncs_completed;
-  if (durability_.wal_enabled()) {
-    Status ds = durability_.LogResyncDone(name, ans.epoch, ans.announce_seq);
-    if (!ds.ok()) {
-      SQ_LOG(kError) << "WAL resync-done failed: " << ds.ToString();
-    }
-  }
+  WalAppended(durability_.LogResyncDone(name, ans.epoch, ans.announce_seq),
+              "resync-done");
   if (options_.record_trace) {
     trace_->Note(scheduler_->Now(),
                  "resync done " + name + " epoch " +
@@ -869,17 +868,17 @@ void Mediator::MaybeShed() {
     // shed record must exist iff the live merge happened. If the device
     // rejects the record, skip the shed (the queue stays deep — safe, just
     // unshed) rather than diverge from the log.
-    if (durability_.wal_enabled()) {
-      Status ds = durability_.LogShed();
-      if (!ds.ok()) {
-        SQ_LOG(kError) << "WAL shed failed: " << ds.ToString();
-        ++stats_.wal_append_failures;
-        break;
-      }
-    }
+    if (!WalAppended(durability_.LogShed(), "shed")) break;
     queue_.CoalesceOldest();
     ++stats_.updates_shed;
   }
+}
+
+bool Mediator::WalAppended(const Status& appended, const char* record) {
+  if (appended.ok()) return true;
+  SQ_LOG(kError) << "WAL " << record << " failed: " << appended.ToString();
+  ++stats_.wal_append_failures;
+  return false;
 }
 
 Vap::PollFn Mediator::ReadyPollFn() {
@@ -993,31 +992,21 @@ void Mediator::RunUpdateTxn() {
   // abort as a crash mid-transaction and leaves its messages at the queue
   // front (the Requeue ordering) — volatile effects simply never happened.
   const uint64_t txn_id = next_txn_id_++;
-  if (durability_.wal_enabled()) {
-    Status ds = durability_.LogTxnBegin(txn_id, msgs.size());
-    if (!ds.ok()) {
-      // Applying a batch the log never saw begin would let a crash replay
-      // it a second time from the surviving enqueue records. Put the flush
-      // back untouched and retry the whole transaction later.
-      SQ_LOG(kError) << "WAL begin failed: " << ds.ToString();
-      ++stats_.wal_append_failures;
-      queue_.Requeue(std::move(*msgs_shared));
-      if (options_.update_period <= 0) {
-        AfterGuarded(options_.resync_retry_delay,
-                     [this]() { ScheduleUpdateTxn(); });
-      }
-      FinishTxn();
-      return;
+  if (!WalAppended(durability_.LogTxnBegin(txn_id, msgs.size()), "begin")) {
+    // Applying a batch the log never saw begin would let a crash replay it
+    // a second time from the surviving enqueue records. Put the flush back
+    // untouched and retry the whole transaction later.
+    queue_.Requeue(std::move(*msgs_shared));
+    if (options_.update_period <= 0) {
+      AfterGuarded(kWalBeginRetryDelay, [this]() { ScheduleUpdateTxn(); });
     }
+    FinishTxn();
+    return;
   }
   // Messages that fail assembly below are dropped, not re-queued; the abort
   // record's `requeued` flag tells recovery which of the two happened.
   auto log_abort = [this, txn_id](bool requeued) {
-    if (!durability_.wal_enabled()) return;
-    Status ds = durability_.LogTxnAbort(txn_id, requeued);
-    if (!ds.ok()) {
-      SQ_LOG(kError) << "WAL abort failed: " << ds.ToString();
-    }
+    WalAppended(durability_.LogTxnAbort(txn_id, requeued), "abort");
   };
   // Assemble (a) the per-leaf deltas for the kernel, (b) the per-source
   // in-flight batch for Eager Compensation, and (c) the reflect candidates.
@@ -1049,12 +1038,25 @@ void Mediator::RunUpdateTxn() {
       if (!s.ok()) st = s;
     }
   }
-  if (!st.ok()) {
-    SQ_LOG(kError) << "update transaction failed: " << st.ToString();
+  // IUP Preparation and VAP planning, once per transaction (paper §6.4
+  // phase a, §6.3 phase 1). The plan reads only the batch's deltas and the
+  // static annotation, never repository contents, so the commit below
+  // executes exactly this plan however long the polls take. No temp
+  // requests make an empty plan: pure local propagation.
+  Result<VapPlan> planned = [&]() -> Result<VapPlan> {
+    SQ_RETURN_IF_ERROR(st);
+    SQ_ASSIGN_OR_RETURN(std::vector<TempRequest> requests,
+                        iup_->PrepareTempRequests(*leaf_deltas));
+    return vap_->Plan(requests);
+  }();
+  if (!planned.ok()) {
+    SQ_LOG(kError) << "update transaction failed: "
+                   << planned.status().ToString();
     log_abort(/*requeued=*/false);
     FinishTxn();
     return;
   }
+  auto plan = std::make_shared<const VapPlan>(std::move(planned).value());
   // From flush until the mirrors advance at commit, the batch is in flight:
   // a snapshot answer arriving in this window must count it as believed
   // state (it left the queue but is not in the mirrors yet). Cleared at
@@ -1062,26 +1064,12 @@ void Mediator::RunUpdateTxn() {
   current_inflight_ = inflight.get();
 
   auto commit = [this, txn_id, log_abort, msgs_shared, leaf_deltas, inflight,
-                 reflect_candidates]() {
-    Vap::PollFn poll = ReadyPollFn();
-    Vap::CompensationFn comp = MakeCompensation(inflight.get());
-    auto run = [&]() -> Result<IupStats> {
-      SQ_ASSIGN_OR_RETURN(std::vector<TempRequest> requests,
-                          iup_->PrepareTempRequests(*leaf_deltas));
-      TempStore temps;
-      if (!requests.empty()) {
-        SQ_ASSIGN_OR_RETURN(temps, vap_->Materialize(requests, poll, comp));
-      }
-      SQ_ASSIGN_OR_RETURN(IupStats stats,
-                          iup_->RunKernel(*leaf_deltas, &temps));
-      stats.polls = temps.polls;
-      stats.polled_tuples = temps.polled_tuples;
-      stats.temps_built = temps.Count();
-      return stats;
-    };
+                 reflect_candidates, plan]() {
     txn_delta_capture_.clear();
     capturing_deltas_ = true;
-    Result<IupStats> stats = run();
+    Result<IupStats> stats =
+        iup_->ProcessBatch(*leaf_deltas, *plan, ReadyPollFn(),
+                           MakeCompensation(inflight.get()));
     capturing_deltas_ = false;
     if (!stats.ok()) {
       SQ_LOG(kError) << "IUP failed: " << stats.status().ToString();
@@ -1153,30 +1141,8 @@ void Mediator::RunUpdateTxn() {
     }
   };
 
-  // Do we need to poll? Plan the preparation's temp requests now.
-  auto requests = iup_->PrepareTempRequests(*leaf_deltas);
-  if (!requests.ok()) {
-    SQ_LOG(kError) << requests.status().ToString();
-    log_abort(/*requeued=*/false);
-    FinishTxn();
-    return;
-  }
-  if (requests->empty()) {
-    // Fully materialized support: pure local propagation.
-    poll_wait_ = PollWait{};  // empty wait so ReadyPollFn is callable
-    commit();
-    return;
-  }
-  auto plan = vap_->Plan(*requests);
-  if (!plan.ok()) {
-    SQ_LOG(kError) << plan.status().ToString();
-    log_abort(/*requeued=*/false);
-    FinishTxn();
-    return;
-  }
   if (plan->polls.empty()) {
-    poll_wait_ = PollWait{};
-    commit();
+    commit();  // no source to wait for: commit in this very event
     return;
   }
   // Abort path (exhausted poll retries): put the flushed messages back at
@@ -1226,6 +1192,23 @@ void Mediator::SubmitQuery(const ViewQuery& q,
                                       " already passed at submit"));
     return;
   }
+  // Prepare and plan once. Both read only the query and the static
+  // annotation — never data or time — so snapshot eligibility below, the
+  // transaction and a deadline-degraded answer all reuse them. An invalid
+  // query is refused here with its typed error, before it spends an
+  // admission slot.
+  auto run = std::make_shared<QueryRun>();
+  Status planned = [&]() -> Status {
+    SQ_ASSIGN_OR_RETURN(run->prepared, qp_->Prepare(q));
+    SQ_ASSIGN_OR_RETURN(std::optional<VapPlan> plan,
+                        qp_->PlanFor(run->prepared));
+    if (plan.has_value()) run->plan = std::move(*plan);
+    return Status::OK();
+  }();
+  if (!planned.ok()) {
+    callback(std::move(planned));
+    return;
+  }
   // Admission gate: over-limit or soft-budget-shed queries are refused in
   // this very event with a typed error and a retry-after hint — fast
   // rejection is the whole point, they must not queue first.
@@ -1245,28 +1228,16 @@ void Mediator::SubmitQuery(const ViewQuery& q,
     callback(std::move(admit));
     return;
   }
-  auto run = std::make_shared<QueryRun>();
-  run->query = q;
   run->cb = std::move(callback);
   if (q.deadline > 0) {
     AfterGuarded(q.deadline - now, [this, run]() { OnQueryDeadline(run); });
   }
-  if (options_.mvcc_reads) {
-    // Poll-free queries take the lock-free snapshot path instead of
-    // serializing behind the transaction queue. Eligibility (coverage +
-    // plan shape) depends only on the static annotation — never on data or
-    // time — so deciding it here is equivalent to deciding at txn start.
-    auto prepared = qp_->Prepare(q);
-    if (prepared.ok() && SnapshotServable(*prepared) &&
-        store_->Snapshot() != nullptr) {
-      run->prepared = std::move(prepared).value();
-      // NOT std::move(run): the shared_ptr parameter may be constructed
-      // before the *run->prepared argument is evaluated.
-      ServeSnapshotQuery(*run->prepared, run);
-      return;
-    }
-    // Ineligible (or Prepare failed): fall through to the serialized path,
-    // which re-prepares and surfaces any error through the usual machinery.
+  // MVCC: a poll-free plan takes the lock-free snapshot path instead of
+  // serializing behind the transaction queue.
+  if (options_.mvcc_reads && run->plan.polls.empty() &&
+      store_->Snapshot() != nullptr) {
+    ServeSnapshotQuery(std::move(run));
+    return;
   }
   EnqueueTxn([this, run = std::move(run)]() { RunQueryTxn(run); });
 }
@@ -1275,7 +1246,8 @@ void Mediator::ResolveQuery(const std::shared_ptr<QueryRun>& run,
                             Result<ViewAnswer> answer) {
   if (run == nullptr || run->resolved) return;
   run->resolved = true;
-  admission_.Release(run->query.qclass);
+  const bool holds_slot = run == active_query_run_;
+  admission_.Release(run->prepared.query.qclass);
   if (!answer.ok()) {
     switch (answer.status().code()) {
       case StatusCode::kDeadlineExceeded:
@@ -1283,7 +1255,7 @@ void Mediator::ResolveQuery(const std::shared_ptr<QueryRun>& run,
         break;
       case StatusCode::kOverloaded:
         // The only kOverloaded source past admission is the memory budget's
-        // hard limit (admission rejections never create a QueryRun).
+        // hard limit (admission rejections never reach ResolveQuery).
         ++stats_.queries_cancelled_memory;
         break;
       default:
@@ -1292,16 +1264,19 @@ void Mediator::ResolveQuery(const std::shared_ptr<QueryRun>& run,
   }
   auto cb = std::move(run->cb);
   if (cb) cb(std::move(answer));
+  // A running query also holds the transaction slot (and possibly a poll
+  // round): release both so the next transaction starts and late answers
+  // are dropped as stale.
+  if (holds_slot) FinishTxn();
 }
 
 void Mediator::OnQueryDeadline(std::shared_ptr<QueryRun> run) {
   if (run == nullptr || run->resolved) return;
-  const bool running = run == active_query_run_;
   Status expired = Status::DeadlineExceeded(
-      "query deadline " + std::to_string(run->query.deadline) +
+      "query deadline " + std::to_string(run->prepared.query.deadline) +
       " exceeded at " + std::to_string(scheduler_->Now()));
   run->cancel.Cancel(expired);
-  if (options_.degraded_reads && run->prepared.has_value()) {
+  if (options_.degraded_reads && run->started) {
     // Deadline-expiry degradation: abandon the poll round and serve the
     // materialized fraction with staleness annotations, in this very event
     // (no q_proc_delay — the answer must not outlive the deadline further).
@@ -1309,25 +1284,13 @@ void Mediator::OnQueryDeadline(std::shared_ptr<QueryRun> run) {
       trace_->Note(scheduler_->Now(),
                    "query degraded at deadline: " + expired.ToString());
     }
-    // NOT std::move(run): the shared_ptr parameter may be constructed
-    // before the *run->prepared arguments are evaluated.
-    ServeDegraded(*run->prepared, run->prepared->query, run,
-                  /*immediate=*/true);
+    ServeDegraded(std::move(run), /*immediate=*/true);
     return;
   }
+  // ResolveQuery releases a running query's transaction slot; a queued
+  // query's closure finds `resolved` set and releases its slot itself when
+  // its turn comes.
   ResolveQuery(run, std::move(expired));
-  // A running query also holds the transaction slot (and possibly a poll
-  // round): release both so the next transaction starts and late answers
-  // are dropped as stale. A queued query's closure finds `resolved` set and
-  // finishes its slot itself when its turn comes.
-  if (running) FinishTxn();
-}
-
-bool Mediator::SnapshotServable(const PreparedQuery& pq) const {
-  auto plan = qp_->PlanFor(pq);
-  if (!plan.ok()) return false;
-  if (!plan->has_value()) return true;  // materialized data suffices
-  return (*plan)->polls.empty();        // VAP assembly, but no source polls
 }
 
 void Mediator::PublishStoreSnapshot() {
@@ -1337,10 +1300,44 @@ void Mediator::PublishStoreSnapshot() {
   stats_.snapshot_copies = store_->SnapshotCopies();
 }
 
-void Mediator::ServeSnapshotQuery(PreparedQuery pq,
-                                  std::shared_ptr<QueryRun> run) {
+Result<QueryProcessor::LocalAnswer> Mediator::ComputeQuery(
+    QueryRun& run, const Vap::PollFn& poll, const Vap::CompensationFn& comp,
+    const StoreSnapshot* snap) const {
+  // Cancellable region: the VAP assembly loop checks between build steps,
+  // the kernels every kCancelCheckRows rows, so a deadline or the memory
+  // budget's hard limit stops the computation at the next check site.
+  ScopedCancelScope scope(&run.cancel);
+  SQ_ASSIGN_OR_RETURN(TempStore temps,
+                      vap_->Execute(run.plan, poll, comp, snap));
+  SQ_ASSIGN_OR_RETURN(QueryProcessor::LocalAnswer local,
+                      qp_->AnswerWithTemps(run.prepared, temps, snap));
+  local.polls = temps.polls;
+  local.polled_tuples = temps.polled_tuples;
+  return local;
+}
+
+void Mediator::CommitQuery(const std::shared_ptr<QueryRun>& run,
+                           ViewAnswer answer) {
+  answer.commit_time = scheduler_->Now();
+  if (options_.record_trace) {
+    TraceEntry entry;
+    entry.kind = TxnKind::kQuery;
+    entry.commit_time = answer.commit_time;
+    entry.reflect = answer.reflect;
+    entry.polls = answer.polls;
+    entry.query = run->prepared.query;
+    entry.answer = answer.data;
+    trace_->Add(std::move(entry));
+  }
+  ++stats_.query_txns;
+  stats_.polls += answer.polls;
+  ResolveQuery(run, std::move(answer));
+}
+
+void Mediator::ServeSnapshotQuery(std::shared_ptr<QueryRun> run) {
   ++stats_.snapshot_queries;
-  auto serve = [this, pq = std::move(pq), run = std::move(run)]() {
+  run->started = true;
+  auto serve = [this, run = std::move(run)]() {
     if (run->resolved) return;  // deadline fired during the processing wait
     // Pin the latest committed version; the whole computation below reads
     // it even if an update transaction commits concurrently. In-sim, apply
@@ -1352,21 +1349,15 @@ void Mediator::ServeSnapshotQuery(PreparedQuery pq,
       ResolveQuery(run, Status::Internal("mvcc: no published store snapshot"));
       return;
     }
-    auto compute = [&]() {
-      // The cancel scope makes the memory budget's hard limit able to kill
-      // this computation at the kernels' next check site.
-      ScopedCancelScope scope(&run->cancel);
-      return qp_->Answer(pq, nullptr, nullptr, snap.get());
-    };
-    auto local = compute();
+    auto local = ComputeQuery(*run, nullptr, nullptr, snap.get());
     if (!local.ok()) {
       ResolveQuery(run, local.status());
       return;
     }
     ViewAnswer answer;
-    answer.data = local->data;
+    answer.data = std::move(local->data);
     answer.used_virtual = local->used_virtual;
-    answer.polls = 0;
+    answer.polls = local->polls;
     // Materialized/hybrid entries come from the snapshot's commit tag; a
     // virtual contributor's state is irrelevant to a poll-free query, so
     // its entry is "now" — the same rule QueryReflect applies. The entries
@@ -1379,19 +1370,7 @@ void Mediator::ServeSnapshotQuery(PreparedQuery pq,
       }
     }
     answer.reflect = std::move(reflect);
-    answer.commit_time = scheduler_->Now();
-    ++stats_.query_txns;
-    if (options_.record_trace) {
-      TraceEntry entry;
-      entry.kind = TxnKind::kQuery;
-      entry.commit_time = answer.commit_time;
-      entry.reflect = answer.reflect;
-      entry.polls = 0;
-      entry.query = pq.query;
-      entry.answer = answer.data;
-      trace_->Add(std::move(entry));
-    }
-    ResolveQuery(run, std::move(answer));
+    CommitQuery(run, std::move(answer));
   };
   // The whole computation — snapshot pin included — runs at completion
   // time, so the recorded reflect can never precede an update entry that
@@ -1411,103 +1390,37 @@ void Mediator::RunQueryTxn(std::shared_ptr<QueryRun> run) {
     return;
   }
   active_query_run_ = run;
-  // Normalize + coverage analysis once; every later step reuses the
-  // prepared form instead of re-deriving it.
-  auto prepared = qp_->Prepare(run->query);
-  if (!prepared.ok()) {
-    ResolveQuery(run, prepared.status());
-    FinishTxn();
-    return;
-  }
-  run->prepared = std::move(prepared).value();
-  const PreparedQuery& pq = *run->prepared;
-  ViewQuery nq = pq.query;  // trace/callback view of the query
-
-  auto finish_with = [this, nq, run](const QueryProcessor::LocalAnswer& local,
-                                     const std::vector<std::string>& polled) {
+  run->started = true;
+  // Answers from the polled sources (none for a poll-free plan) and stamps
+  // the reflect vector now; the commit follows after q_proc_delay.
+  auto execute = [this, run]() {
+    if (run->resolved) return;  // defensive; the wait dies with the txn slot
+    auto local =
+        ComputeQuery(*run, ReadyPollFn(), MakeCompensation(nullptr), nullptr);
+    if (!local.ok()) {
+      ResolveQuery(run, local.status());
+      return;
+    }
+    stats_.polled_tuples += local->polled_tuples;
     ViewAnswer answer;
-    answer.data = local.data;
-    answer.used_virtual = local.used_virtual;
-    answer.polls = local.polls;
-    answer.reflect = QueryReflect(polled);
-    auto complete = [this, nq, run, answer]() mutable {
+    answer.data = std::move(local->data);
+    answer.used_virtual = local->used_virtual;
+    answer.polls = local->polls;
+    answer.reflect = QueryReflect(run->plan.PolledSources());
+    auto complete = [this, run, answer = std::move(answer)]() mutable {
       // Deadline fired during the q_proc_delay wait: the deadline handler
       // already resolved the query AND finished the transaction slot.
       if (run->resolved) return;
-      answer.commit_time = scheduler_->Now();
-      ++stats_.query_txns;
-      stats_.polls += answer.polls;
-      if (options_.record_trace) {
-        TraceEntry entry;
-        entry.kind = TxnKind::kQuery;
-        entry.commit_time = answer.commit_time;
-        entry.reflect = answer.reflect;
-        entry.polls = answer.polls;
-        entry.query = nq;
-        entry.answer = answer.data;
-        trace_->Add(std::move(entry));
-      }
-      ResolveQuery(run, std::move(answer));
-      FinishTxn();
+      CommitQuery(run, std::move(answer));
     };
     if (options_.q_proc_delay > 0) {
-      AfterGuarded(options_.q_proc_delay, complete);
+      AfterGuarded(options_.q_proc_delay, std::move(complete));
     } else {
       complete();
     }
   };
-
-  auto plan = qp_->PlanFor(pq);
-  if (!plan.ok()) {
-    ResolveQuery(run, plan.status());
-    FinishTxn();
-    return;
-  }
-  if (!plan->has_value()) {
-    // Materialized data suffices. The cancel scope lets the memory budget's
-    // hard limit kill the computation at the kernels' next check site.
-    auto compute = [&]() {
-      ScopedCancelScope scope(&run->cancel);
-      return qp_->Answer(pq, nullptr, nullptr);
-    };
-    auto local = compute();
-    if (!local.ok()) {
-      ResolveQuery(run, local.status());
-      FinishTxn();
-      return;
-    }
-    finish_with(*local, {});
-    return;
-  }
-
-  VapPlan vap_plan = std::move(**plan);
-  auto execute = [this, vap_plan, finish_with, run]() {
-    if (run->resolved) return;  // defensive; the wait dies with the txn slot
-    const PreparedQuery& epq = *run->prepared;
-    Vap::PollFn poll = ReadyPollFn();
-    Vap::CompensationFn comp = MakeCompensation(nullptr);
-    auto compute = [&]() -> Result<QueryProcessor::LocalAnswer> {
-      // Cancellable region: the VAP assembly loop checks between build
-      // steps, the kernels every kCancelCheckRows rows.
-      ScopedCancelScope scope(&run->cancel);
-      SQ_ASSIGN_OR_RETURN(TempStore temps, vap_->Execute(vap_plan, poll, comp));
-      SQ_ASSIGN_OR_RETURN(QueryProcessor::LocalAnswer local,
-                          qp_->AnswerWithTemps(epq, temps));
-      local.polls = temps.polls;
-      local.polled_tuples = temps.polled_tuples;
-      return local;
-    };
-    auto local = compute();
-    if (!local.ok()) {
-      ResolveQuery(run, local.status());
-      FinishTxn();
-      return;
-    }
-    stats_.polled_tuples += local->polled_tuples;
-    finish_with(*local, vap_plan.PolledSources());
-  };
-  if (vap_plan.polls.empty()) {
-    poll_wait_ = PollWait{};
+  const VapPlan& plan = run->plan;
+  if (plan.polls.empty()) {
     execute();
     return;
   }
@@ -1515,10 +1428,10 @@ void Mediator::RunQueryTxn(std::shared_ptr<QueryRun> run) {
   // resyncing, or quarantined) would only burn the timeout rounds; serve
   // the materialized data with staleness annotations immediately.
   if (options_.degraded_reads) {
-    for (const auto& src : vap_plan.PolledSources()) {
+    for (const auto& src : plan.PolledSources()) {
       SourceRuntime* rt = FindSource(src);
       if (rt != nullptr && SourceDown(*rt)) {
-        ServeDegraded(pq, nq, run, /*immediate=*/false);
+        ServeDegraded(run, /*immediate=*/false);
         return;
       }
     }
@@ -1526,13 +1439,13 @@ void Mediator::RunQueryTxn(std::shared_ptr<QueryRun> run) {
   // Queries have a caller to report to: fail over instead of retrying —
   // or, with degraded reads on, fall back to the materialized data (the
   // reactive path: the source went silent without a known-down marker).
-  auto fail = [this, nq, run](const Status& st) {
+  auto fail = [this, run](const Status& st) {
     if (options_.degraded_reads) {
       if (options_.record_trace) {
         trace_->Note(scheduler_->Now(),
                      "query degraded after poll failure: " + st.ToString());
       }
-      ServeDegraded(*run->prepared, nq, run, /*immediate=*/false);
+      ServeDegraded(run, /*immediate=*/false);
       return;
     }
     ++stats_.failed_queries;
@@ -1540,28 +1453,24 @@ void Mediator::RunQueryTxn(std::shared_ptr<QueryRun> run) {
       trace_->Note(scheduler_->Now(), "query failed: " + st.ToString());
     }
     ResolveQuery(run, st);
-    FinishTxn();
   };
-  IssuePolls(vap_plan, execute, fail);
+  IssuePolls(plan, execute, fail);
 }
 
-void Mediator::ServeDegraded(const PreparedQuery& pq, const ViewQuery& nq,
-                             std::shared_ptr<QueryRun> run, bool immediate) {
+void Mediator::ServeDegraded(std::shared_ptr<QueryRun> run, bool immediate) {
   // Deliberately NO cancel scope here: a query being degraded at its
   // deadline has a cancelled token, and the fallback computation must not
   // kill itself at the kernels' check sites — it IS the error handling.
-  auto local = qp_->AnswerDegraded(pq);
+  auto local = qp_->AnswerDegraded(run->prepared);
   if (!local.ok()) {
     // Nothing materialized to serve: fail over exactly as without degraded
     // reads — except a deadline-triggered call surfaces its typed reason.
-    const bool running = run == active_query_run_;
     Status st = run->cancel.cancelled() ? run->cancel.status() : local.status();
     if (!run->cancel.cancelled()) ++stats_.failed_queries;
     if (options_.record_trace) {
       trace_->Note(scheduler_->Now(), "query failed: " + st.ToString());
     }
     ResolveQuery(run, std::move(st));
-    if (running) FinishTxn();
     return;
   }
   ViewAnswer answer;
@@ -1570,12 +1479,11 @@ void Mediator::ServeDegraded(const PreparedQuery& pq, const ViewQuery& nq,
   answer.missing_attrs = std::move(local->missing_attrs);
   answer.cond_dropped = local->cond_dropped;
   answer.reflect = UpdateReflect();
-  auto complete = [this, nq, answer = std::move(answer),
+  auto complete = [this, answer = std::move(answer),
                    run = std::move(run)]() mutable {
     // Deadline fired during the q_proc_delay wait: the deadline handler
     // re-served this query immediately (and finished the txn slot).
     if (run->resolved) return;
-    const bool running = run == active_query_run_;
     answer.commit_time = scheduler_->Now();
     std::vector<bool> down;
     down.reserve(sources_.size());
@@ -1590,15 +1498,14 @@ void Mediator::ServeDegraded(const PreparedQuery& pq, const ViewQuery& nq,
     // byte-identical replay surface.
     if (options_.record_trace) {
       std::string note =
-          "degraded query " + nq.ToString() + " -> " +
+          "degraded query " + run->prepared.query.ToString() + " -> " +
           std::to_string(answer.data.DistinctSize()) + " tuples";
       for (const auto& s : answer.staleness) note += " " + s.ToString();
       trace_->Note(answer.commit_time, note);
     }
-    ResolveQuery(run, std::move(answer));
     // Only the transaction-owning query releases the slot; a deadline-
     // degraded MVCC query never held it.
-    if (running) FinishTxn();
+    ResolveQuery(run, std::move(answer));
   };
   if (!immediate && options_.q_proc_delay > 0) {
     AfterGuarded(options_.q_proc_delay, std::move(complete));
@@ -1638,8 +1545,6 @@ MediatorDelays Mediator::Delays() const {
   d.q_proc_delay = options_.q_proc_delay;
   return d;
 }
-
-TimeVector Mediator::CurrentReflect() const { return UpdateReflect(); }
 
 HardState Mediator::BuildHardState() const {
   HardState hs;

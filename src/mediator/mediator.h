@@ -101,10 +101,6 @@ struct MediatorOptions {
   /// (UpdateQueue::CoalesceOldest). 0 disables the cap. Normal-operation
   /// queues are never shed.
   size_t max_queue_depth = 0;
-  /// Re-request deadline for an unanswered SnapshotRequest (the request or
-  /// answer may be lost to a crash window). Backed off per attempt like
-  /// polls are.
-  Time resync_retry_delay = 2.0;
   // ---- concurrency (MVCC reads) ----
   /// MVCC reads: serve poll-free queries from the latest committed store
   /// snapshot instead of enqueueing them behind the transaction queue —
@@ -116,10 +112,6 @@ struct MediatorOptions {
   // ---- overload protection (DESIGN.md §15) ----
   /// Per-class admission limits. All-zero (the default) disables the gate.
   AdmissionOptions admission;
-  /// Safety margin subtracted from a query's deadline when forwarding it to
-  /// sources/child mediators in PollRequests, so the child gives up before
-  /// the parent does and the answer has time to travel back.
-  Time deadline_margin = 1.0;
   /// Ceiling on the backed-off poll deadline (applied after jitter);
   /// 0 = uncapped (the pre-existing unbounded exponential backoff).
   Time poll_backoff_cap = 0.0;
@@ -265,10 +257,6 @@ class Mediator {
   std::vector<DelayProfile> DelayProfiles() const;
   /// The mediator-side delays (for Theorem 7.2 bounds).
   MediatorDelays Delays() const;
-  /// Current ref' vector (materialized/hybrid entries meaningful).
-  TimeVector CurrentReflect() const;
-  /// Time the view was initialized.
-  Time view_init_time() const { return view_init_time_; }
   /// Approximate bytes held in materialized repositories.
   size_t StoreBytes() const { return store_->ApproxBytes(); }
   /// True iff a transaction is executing (between start and commit).
@@ -334,16 +322,23 @@ class Mediator {
   /// surfacing through a check site. `resolved` makes resolution
   /// first-wins; ResolveQuery() is the only place the callback fires.
   struct QueryRun {
-    ViewQuery query;
+    /// The query, prepared and planned once at submission. Both read only
+    /// the query and the static annotation, so snapshot eligibility, the
+    /// transaction and a deadline-degraded answer all reuse them.
+    PreparedQuery prepared;
+    /// The VAP plan the query needs; empty when the materialized data
+    /// suffices.
+    VapPlan plan;
     std::function<void(Result<ViewAnswer>)> cb;
     /// Cancelled by the deadline timer or the memory budget's hard limit;
     /// installed thread-locally (ScopedCancelScope) around execution.
     CancelToken cancel;
     /// Set once the callback has fired; later resolution attempts no-op.
     bool resolved = false;
-    /// Set by RunQueryTxn after Prepare succeeds, so the deadline handler
-    /// can serve a degraded answer without re-preparing.
-    std::optional<PreparedQuery> prepared;
+    /// Set once the query holds the transaction slot or took the snapshot
+    /// path. Only a started query is served its materialized fraction at
+    /// its deadline; a still-queued one expires with kDeadlineExceeded.
+    bool started = false;
   };
 
   struct PollWait {
@@ -382,10 +377,20 @@ class Mediator {
   void PeriodicTick();
   void RunUpdateTxn();
   void RunQueryTxn(std::shared_ptr<QueryRun> run);
+  /// Executes \p run's plan and answers its query inside the query's cancel
+  /// scope. \p snap set = the MVCC path, reading that snapshot.
+  Result<QueryProcessor::LocalAnswer> ComputeQuery(
+      QueryRun& run, const Vap::PollFn& poll, const Vap::CompensationFn& comp,
+      const StoreSnapshot* snap) const;
+  /// The query commit step shared by the snapshot, serialized and polling
+  /// paths: stamps the commit time, records the kQuery trace entry, counts
+  /// the query and its polls, and resolves it.
+  void CommitQuery(const std::shared_ptr<QueryRun>& run, ViewAnswer answer);
   /// The single resolution point for a query: fires the callback exactly
-  /// once (first caller wins), releases the admission slot, and counts the
-  /// new typed failure codes. Completion, deadline, and memory-cancel paths
-  /// all funnel through here.
+  /// once (first caller wins), releases the admission slot and, when the
+  /// query holds it, the transaction slot, and counts the new typed failure
+  /// codes. Completion, deadline, and memory-cancel paths all funnel
+  /// through here.
   void ResolveQuery(const std::shared_ptr<QueryRun>& run,
                     Result<ViewAnswer> answer);
   /// Deadline timer handler: cancels and resolves \p run if it is still
@@ -418,13 +423,15 @@ class Mediator {
   /// Backpressure: shed (lossless-merge) queue entries while a source is
   /// resyncing and the queue exceeds max_queue_depth.
   void MaybeShed();
-  /// Answers \p pq from the repositories with staleness annotations
-  /// (degraded mode). Fails over with kUnavailable when nothing is
-  /// materialized for the query. \p immediate skips the q_proc_delay
+  /// True iff \p appended is OK. Otherwise logs the rejected \p record and
+  /// counts it in wal_append_failures: every Log* status passes through.
+  bool WalAppended(const Status& appended, const char* record);
+  /// Answers \p run's query from the repositories with staleness
+  /// annotations (degraded mode). Fails over with kUnavailable when nothing
+  /// is materialized for the query. \p immediate skips the q_proc_delay
   /// deferral — the deadline handler serves the materialized fraction in
   /// the deadline event itself, never after it.
-  void ServeDegraded(const PreparedQuery& pq, const ViewQuery& nq,
-                     std::shared_ptr<QueryRun> run, bool immediate);
+  void ServeDegraded(std::shared_ptr<QueryRun> run, bool immediate);
   /// True iff \p rt's epoch/health state or quarantine makes polling it
   /// hopeless right now.
   bool SourceDown(const SourceRuntime& rt) const;
@@ -442,13 +449,10 @@ class Mediator {
   /// with the current reflect vector. Called after init, every update
   /// commit, and recovery (only when mvcc_reads is on).
   void PublishStoreSnapshot();
-  /// True iff \p pq can be served from a snapshot: planning (which depends
-  /// only on the static annotation, never on data or time) shows no source
-  /// polls are needed.
-  bool SnapshotServable(const PreparedQuery& pq) const;
-  /// The MVCC fast path: answers \p pq from the latest snapshot after
-  /// q_proc_delay, without occupying the transaction queue.
-  void ServeSnapshotQuery(PreparedQuery pq, std::shared_ptr<QueryRun> run);
+  /// The MVCC fast path for a poll-free plan: answers \p run from the
+  /// latest snapshot after q_proc_delay, without occupying the transaction
+  /// queue.
+  void ServeSnapshotQuery(std::shared_ptr<QueryRun> run);
 
   // ---- durability helpers ----
   /// Schedules \p fn after \p delay, but only runs it if the mediator has
@@ -492,14 +496,14 @@ class Mediator {
   /// Per-class admission gate (limits from options_.admission).
   AdmissionGate admission_;
   /// The query transaction currently executing (null between query txns and
-  /// during update txns). The deadline handler uses it to tell a running
-  /// query (must also abandon the poll round) from a queued one; IssuePolls
-  /// uses it to stamp deadlines/classes into PollRequests.
+  /// during update txns). ResolveQuery uses it to tell a running query
+  /// (whose resolution also releases the slot and abandons the poll round)
+  /// from a queued one; IssuePolls uses it to stamp deadlines/classes into
+  /// PollRequests.
   std::shared_ptr<QueryRun> active_query_run_;
   std::optional<PollWait> poll_wait_;
   uint64_t next_poll_id_ = 1;
   uint64_t next_poll_generation_ = 1;
-  Time view_init_time_ = 0;
 
   // ---- durability state ----
   DurabilityManager durability_;

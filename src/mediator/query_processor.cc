@@ -164,27 +164,4 @@ Result<QueryProcessor::LocalAnswer> QueryProcessor::AnswerDegraded(
   return out;
 }
 
-Result<std::optional<VapPlan>> QueryProcessor::PlanFor(
-    const ViewQuery& q) const {
-  // Legacy contract: input is already normalized; derive needed attrs only.
-  SQ_ASSIGN_OR_RETURN(const VdpNode* node, vdp_->Get(q.relation));
-  PreparedQuery prepared;
-  prepared.query = q;
-  prepared.needed = NeededAttrs(node->schema, q);
-  return PlanFor(prepared);
-}
-
-Result<QueryProcessor::LocalAnswer> QueryProcessor::Answer(
-    const ViewQuery& raw, const Vap::PollFn& poll,
-    const Vap::CompensationFn& comp) const {
-  SQ_ASSIGN_OR_RETURN(PreparedQuery q, Prepare(raw));
-  return Answer(q, poll, comp);
-}
-
-Result<QueryProcessor::LocalAnswer> QueryProcessor::AnswerWithTemps(
-    const ViewQuery& raw, const TempStore& temps) const {
-  SQ_ASSIGN_OR_RETURN(PreparedQuery q, Prepare(raw));
-  return AnswerWithTemps(q, temps);
-}
-
 }  // namespace squirrel

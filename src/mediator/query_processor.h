@@ -51,10 +51,6 @@ class QueryProcessor {
                  const LocalStore* store, const Vap* vap)
       : vdp_(vdp), ann_(ann), store_(store), vap_(vap) {}
 
-  /// Normalizes a query: checks the relation is exported, defaults empty
-  /// attrs to the full schema, checks attrs exist.
-  Result<ViewQuery> Normalize(const ViewQuery& q) const;
-
   /// Normalize + needed-attr derivation, done once up front.
   Result<PreparedQuery> Prepare(const ViewQuery& raw) const;
 
@@ -70,7 +66,9 @@ class QueryProcessor {
                              const Vap::CompensationFn& comp,
                              const StoreSnapshot* snap = nullptr) const;
 
-  /// Answers \p q against pre-built temporaries (the Mediator's async path).
+  /// Answers \p q against pre-built temporaries: the Mediator runs
+  /// Vap::Execute over the PlanFor plan (empty when the repository covers
+  /// the query), then this.
   Result<LocalAnswer> AnswerWithTemps(const PreparedQuery& q,
                                       const TempStore& temps,
                                       const StoreSnapshot* snap = nullptr)
@@ -87,16 +85,10 @@ class QueryProcessor {
   /// serve.
   Result<LocalAnswer> AnswerDegraded(const PreparedQuery& q) const;
 
-  // Convenience overloads for raw queries; each Prepares and delegates.
-  /// Input should be normalized (legacy contract kept for callers that
-  /// Normalize themselves).
-  Result<std::optional<VapPlan>> PlanFor(const ViewQuery& q) const;
-  Result<LocalAnswer> Answer(const ViewQuery& q, const Vap::PollFn& poll,
-                             const Vap::CompensationFn& comp) const;
-  Result<LocalAnswer> AnswerWithTemps(const ViewQuery& q,
-                                      const TempStore& temps) const;
-
  private:
+  /// Normalizes a query: checks the relation is exported, defaults empty
+  /// attrs to the full schema, checks attrs exist.
+  Result<ViewQuery> Normalize(const ViewQuery& q) const;
   Result<LocalAnswer> AnswerFromRepo(const PreparedQuery& q,
                                      const StoreSnapshot* snap) const;
 

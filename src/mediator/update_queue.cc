@@ -37,18 +37,20 @@ void UpdateQueue::Recharge() {
   }
 }
 
+void UpdateQueue::MergeIntoTail(UpdateMessage* tail, const UpdateMessage& msg) {
+  // Same-source relation schemas are fixed, so the smash cannot fail in
+  // practice; if it ever did, WAL replay applies the identical smash to the
+  // identical tail, so recovered state still matches.
+  (void)tail->delta.SmashInPlace(msg.delta);
+  tail->seq = msg.seq;
+  tail->epoch = msg.epoch;
+  tail->send_time = msg.send_time;
+}
+
 void UpdateQueue::Enqueue(UpdateMessage msg) {
   ++total_enqueued_;
-  total_atoms_ += msg.delta.AtomCount();
   if (WouldCoalesce(msg)) {
-    UpdateMessage& tail = messages_.back();
-    // Same-source relation schemas are fixed, so the smash cannot fail in
-    // practice; if it ever did, WAL replay applies the identical smash to
-    // the identical tail, so recovered state still matches.
-    (void)tail.delta.SmashInPlace(msg.delta);
-    tail.seq = msg.seq;
-    tail.epoch = msg.epoch;
-    tail.send_time = msg.send_time;
+    MergeIntoTail(&messages_.back(), msg);
     ++total_coalesced_;
     Recharge();
     return;
@@ -147,15 +149,6 @@ Result<MultiDelta> UpdateQueue::PendingFrom(const std::string& source) const {
   for (const auto& msg : messages_) {
     if (msg.source != source) continue;
     SQ_RETURN_IF_ERROR(out.SmashInPlace(msg.delta));
-  }
-  return out;
-}
-
-Time UpdateQueue::LastPendingSendTime(const std::string& source,
-                                      Time fallback) const {
-  Time out = fallback;
-  for (const auto& msg : messages_) {
-    if (msg.source == source) out = msg.send_time;
   }
   return out;
 }

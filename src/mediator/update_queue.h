@@ -33,10 +33,15 @@ class UpdateQueue {
   /// merged into the tail instead: deltas smash, the tail takes the later
   /// seq and send_time. Because only consecutive same-source tail messages
   /// merge — messages that would be flushed in the same transaction anyway —
-  /// transaction boundaries, PendingFrom and LastPendingSendTime are
-  /// unaffected; the win is net-change cancellation and fewer per-message
-  /// loops downstream.
+  /// transaction boundaries and PendingFrom are unaffected; the win is
+  /// net-change cancellation and fewer per-message loops downstream.
   void Enqueue(UpdateMessage msg);
+
+  /// The tail merge Enqueue applies when WouldCoalesce holds, shared with
+  /// WAL replay so a logged coalesced enqueue reproduces the live merge
+  /// byte for byte: the deltas smash, and the tail takes \p msg's seq,
+  /// epoch and send_time.
+  static void MergeIntoTail(UpdateMessage* tail, const UpdateMessage& msg);
 
   /// True iff Enqueue would merge \p msg into the current tail: a window is
   /// configured, the tail exists, comes from the same source IN THE SAME
@@ -55,7 +60,7 @@ class UpdateQueue {
   /// Backpressure shed: merges the oldest message that has a later message
   /// from the same source forward into that later message, freeing one
   /// queue slot without losing any net change (per-source FIFO order and
-  /// PendingFrom/LastPendingSendTime are unaffected). Returns false when no
+  /// PendingFrom are unaffected). Returns false when no
   /// two messages share a source, i.e. the queue cannot shrink losslessly.
   /// The mediator invokes this only while a source is resyncing and
   /// MediatorOptions::max_queue_depth is exceeded — never silently in
@@ -104,13 +109,8 @@ class UpdateQueue {
   /// order). Used by Eager Compensation; does not remove anything.
   Result<MultiDelta> PendingFrom(const std::string& source) const;
 
-  /// Send time of the last waiting message from \p source (or \p fallback).
-  Time LastPendingSendTime(const std::string& source, Time fallback) const;
-
   /// Total messages ever enqueued.
   uint64_t TotalEnqueued() const { return total_enqueued_; }
-  /// Total delta atoms ever enqueued.
-  uint64_t TotalAtoms() const { return total_atoms_; }
   /// Total messages ever re-queued after an aborted transaction.
   uint64_t TotalRequeued() const { return total_requeued_; }
   /// Total messages merged into a tail message instead of appended.
@@ -128,7 +128,6 @@ class UpdateQueue {
   std::deque<UpdateMessage> messages_;
   Time coalesce_window_ = 0.0;
   uint64_t total_enqueued_ = 0;
-  uint64_t total_atoms_ = 0;
   uint64_t total_requeued_ = 0;
   uint64_t total_coalesced_ = 0;
   uint64_t total_shed_ = 0;

@@ -249,6 +249,8 @@ Result<std::vector<TempRequest>> Vap::DerivedFrom(
 }
 
 Result<VapPlan> Vap::Plan(const std::vector<TempRequest>& input) const {
+  // Most update transactions of a materialized view request nothing.
+  if (input.empty()) return VapPlan{};
   // Topological index per node (children-first order in the VDP).
   std::map<std::string, size_t> topo_index;
   for (size_t i = 0; i < vdp_->TopoOrder().size(); ++i) {
@@ -604,14 +606,6 @@ Result<TempStore> Vap::Execute(const VapPlan& plan, const PollFn& poll,
     temps.Put(req.node, std::move(entry));
   }
   return temps;
-}
-
-Result<TempStore> Vap::Materialize(const std::vector<TempRequest>& input,
-                                   const PollFn& poll,
-                                   const CompensationFn& comp,
-                                   const StoreSnapshot* snap) const {
-  SQ_ASSIGN_OR_RETURN(VapPlan plan, Plan(input));
-  return Execute(plan, poll, comp, snap);
 }
 
 }  // namespace squirrel

@@ -153,20 +153,9 @@ class Vap {
                             const CompensationFn& comp,
                             const StoreSnapshot* snap = nullptr) const;
 
-  /// Plan + Execute in one call.
-  Result<TempStore> Materialize(const std::vector<TempRequest>& input,
-                                const PollFn& poll,
-                                const CompensationFn& comp,
-                                const StoreSnapshot* snap = nullptr) const;
-
   /// True iff π_attrs of \p node is answerable from the repository alone.
   bool RepoCovers(const std::string& node,
                   const std::vector<std::string>& attrs) const;
-
-  /// The active strategy.
-  VapStrategy strategy() const { return strategy_; }
-  /// Overrides the strategy (benchmark ablations).
-  void set_strategy(VapStrategy s) { strategy_ = s; }
 
  private:
   Result<KeyBasedChoice> TryKeyBased(const VdpNode& node,

@@ -311,30 +311,51 @@ TEST_F(SimFigure1, QueriesSerializeWithUpdates) {
       << (report.violations.empty() ? "" : report.violations[0]);
 }
 
-TEST_F(SimFigure1, RejectsQueryOnUnknownRelation) {
-  MakeMediator(AnnotationExample21(), MediatorOptions{});
-  bool failed = false;
-  scheduler_.At(1.0, [&]() {
-    mediator_->SubmitQuery(ViewQuery{"Nope", {}, nullptr},
-                           [&](Result<ViewAnswer> ans) {
-                             failed = !ans.ok();
-                           });
+/// Submits \p q at t = 1 to a fresh Example 2.1 mediator over Figure 1's
+/// sources and returns the status the query resolves with.
+Status StatusOfQuery(const ViewQuery& q, bool mvcc_reads) {
+  SourceDb db1("DB1");
+  SourceDb db2("DB2");
+  SQ_RETURN_IF_ERROR(
+      db1.AddRelation("R", MakeSchema("R(r1, r2, r3, r4) key(r1)")));
+  SQ_RETURN_IF_ERROR(
+      db2.AddRelation("S", MakeSchema("S(s1, s2, s3) key(s1)")));
+  SQ_ASSIGN_OR_RETURN(Vdp vdp, BuildFigure1Vdp());
+  Scheduler scheduler;
+  MediatorOptions options;
+  options.mvcc_reads = mvcc_reads;
+  SQ_ASSIGN_OR_RETURN(
+      std::unique_ptr<Mediator> med,
+      Mediator::Create(vdp, AnnotationExample21(),
+                       {{&db1, 1.0, 0.5, 0.0}, {&db2, 1.0, 0.5, 0.0}},
+                       &scheduler, options));
+  SQ_RETURN_IF_ERROR(med->Start());
+  Status out = Status::Internal("the query never resolved");
+  scheduler.At(1.0, [&]() {
+    med->SubmitQuery(q, [&](Result<ViewAnswer> ans) { out = ans.status(); });
   });
-  scheduler_.RunUntil(10000.0);
-  EXPECT_TRUE(failed);
+  scheduler.RunUntil(100.0);
+  return out;
+}
+
+TEST_F(SimFigure1, RejectsQueryOnUnknownRelation) {
+  for (bool mvcc_reads : {false, true}) {
+    SCOPED_TRACE(mvcc_reads ? "mvcc_reads on" : "mvcc_reads off");
+    EXPECT_EQ(StatusOfQuery(ViewQuery{"Nope", {}, nullptr}, mvcc_reads).code(),
+              StatusCode::kNotFound);
+    // An unknown attribute of an export relation is refused the same way.
+    EXPECT_EQ(StatusOfQuery(ViewQuery{"T", {"nope"}, nullptr}, mvcc_reads)
+                  .code(),
+              StatusCode::kNotFound);
+  }
 }
 
 TEST_F(SimFigure1, RejectsQueryOnNonExportNode) {
-  MakeMediator(AnnotationExample21(), MediatorOptions{});
-  bool failed = false;
-  scheduler_.At(1.0, [&]() {
-    mediator_->SubmitQuery(ViewQuery{"R'", {}, nullptr},
-                           [&](Result<ViewAnswer> ans) {
-                             failed = !ans.ok();
-                           });
-  });
-  scheduler_.RunUntil(10000.0);
-  EXPECT_TRUE(failed);
+  for (bool mvcc_reads : {false, true}) {
+    SCOPED_TRACE(mvcc_reads ? "mvcc_reads on" : "mvcc_reads off");
+    EXPECT_EQ(StatusOfQuery(ViewQuery{"R'", {}, nullptr}, mvcc_reads).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 class SimFigure4 : public ::testing::Test {

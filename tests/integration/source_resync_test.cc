@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "mediator/consistency.h"
+#include "mediator/durability/integrity.h"
+#include "mediator/durability/log_device.h"
 #include "mediator/freshness.h"
 #include "mediator/mediator.h"
 #include "sim/fault.h"
@@ -24,6 +28,58 @@ namespace squirrel {
 namespace {
 
 using testing::MakeSchema;
+
+/// An in-memory log device that, like a full disk, rejects every append of
+/// the WAL record kinds it is armed with, identified by the record's tag
+/// byte.
+class RejectingLogDevice : public LogDevice {
+ public:
+  explicit RejectingLogDevice(std::set<uint8_t> tags)
+      : tags_(std::move(tags)) {}
+
+  Result<uint64_t> Append(std::string bytes) override {
+    FrameInfo frame = UnframeRecord(bytes);
+    if (frame.valid && frame.frame_class == FrameClass::kRecord &&
+        !frame.payload.empty()) {
+      const uint8_t tag = static_cast<uint8_t>(frame.payload[0]);
+      if (tags_.count(tag) > 0) {
+        ++rejected_[tag];
+        return Status::Unavailable("log device full");
+      }
+    }
+    return inner_.Append(std::move(bytes));
+  }
+  Status TruncatePrefix(uint64_t new_begin) override {
+    return inner_.TruncatePrefix(new_begin);
+  }
+  Result<std::vector<LogRecord>> ReadAll() const override {
+    return inner_.ReadAll();
+  }
+  uint64_t NextLsn() const override { return inner_.NextLsn(); }
+  uint64_t SizeBytes() const override { return inner_.SizeBytes(); }
+
+  /// Appends rejected with \p tag.
+  uint64_t Rejected(uint8_t tag) const {
+    auto it = rejected_.find(tag);
+    return it == rejected_.end() ? 0 : it->second;
+  }
+  /// Appends rejected in total.
+  uint64_t Rejected() const {
+    uint64_t total = 0;
+    for (const auto& [tag, n] : rejected_) total += n;
+    return total;
+  }
+
+ private:
+  std::set<uint8_t> tags_;
+  std::map<uint8_t, uint64_t> rejected_;
+  MemLogDevice inner_;
+};
+
+// WAL record tags (the first payload byte of a record frame).
+constexpr uint8_t kTxnAbortTag = 4;
+constexpr uint8_t kResyncBeginTag = 7;
+constexpr uint8_t kResyncDoneTag = 8;
 
 /// Figure 1 under caller-chosen annotation, fault plans, and options; DB2's
 /// announcer may batch (so a restart can wipe a pending batch).
@@ -106,6 +162,7 @@ class ResyncFigure1 : public ::testing::Test {
   std::unique_ptr<SourceDb> db1_, db2_;
   std::unique_ptr<FaultInjector> inj1_, inj2_;
   std::unique_ptr<Vdp> vdp_;
+  std::unique_ptr<LogDevice> log_device_;  // outlives med_
   std::unique_ptr<Mediator> med_;
   std::optional<Relation> final_answer_;
 };
@@ -153,6 +210,36 @@ TEST_F(ResyncFigure1, RestartedSourceResyncsLostBatchLosslessly) {
   EXPECT_TRUE(HasNote("resync begin DB2 epoch 2"));
   EXPECT_TRUE(HasNote("resync done DB2 epoch 2"));
   EXPECT_TRUE(med_->resync().UnhealthySources().empty());
+}
+
+TEST_F(ResyncFigure1, EveryRejectedWalAppendIsCounted) {
+  // The device rejects every resync-begin, resync-done and txn-abort
+  // record. The mediator carries on past each loss, and
+  // wal_append_failures must count every append the device rejected.
+  auto device = std::make_unique<RejectingLogDevice>(
+      std::set<uint8_t>{kTxnAbortTag, kResyncBeginTag, kResyncDoneTag});
+  RejectingLogDevice* dev = device.get();
+  log_device_ = std::move(device);
+  MediatorOptions options;
+  options.durability.device = dev;
+  // DB2 restarts at 15.3: its hello begins a resync at 15.8, whose snapshot
+  // answer lands at 17.0. Under Example 2.3 S' is virtual, so the R update
+  // arriving at 16.4 must poll DB2 mid-resync and aborts.
+  FaultPlan db2_plan;
+  db2_plan.restarts["DB2"] = {{10.0, 15.3}};
+  auto vdp = BuildFigure1Vdp();
+  ASSERT_TRUE(vdp.ok());
+  Init(AnnotationExample23(*vdp), FaultPlan{}, db2_plan, options);
+  scheduler_.At(15.9, [&]() {
+    SQ_EXPECT_OK(db1_->InsertTuple(scheduler_.Now(), "R",
+                                   Tuple({2, 100, 22, 100})));
+  });
+  FinishAndCheck(60.0);
+  EXPECT_GE(dev->Rejected(kResyncBeginTag), 1u);
+  EXPECT_GE(dev->Rejected(kResyncDoneTag), 1u);
+  EXPECT_GE(dev->Rejected(kTxnAbortTag), 1u);
+  EXPECT_GE(med_->stats().update_txn_aborts, 1u);
+  EXPECT_EQ(med_->stats().wal_append_failures, dev->Rejected());
 }
 
 TEST_F(ResyncFigure1, DegradedQueryOverQuarantinedSourceAnnotatesStaleness) {

@@ -161,20 +161,6 @@ TEST(UpdateQueueTest, PendingFromSmashesPerSource) {
   EXPECT_TRUE(c.Empty());
 }
 
-TEST(UpdateQueueTest, LastPendingSendTime) {
-  UpdateQueue queue;
-  UpdateMessage m1;
-  m1.source = "A";
-  m1.send_time = 1.5;
-  queue.Enqueue(std::move(m1));
-  UpdateMessage m2;
-  m2.source = "A";
-  m2.send_time = 4.5;
-  queue.Enqueue(std::move(m2));
-  EXPECT_DOUBLE_EQ(queue.LastPendingSendTime("A", 0), 4.5);
-  EXPECT_DOUBLE_EQ(queue.LastPendingSendTime("B", 9.0), 9.0);
-}
-
 TEST(UpdateQueueTest, RequeuePutsMessagesBackInFront) {
   UpdateQueue queue;
   auto make = [](const std::string& source, uint64_t seq) {

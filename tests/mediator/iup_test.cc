@@ -374,8 +374,10 @@ TEST_F(Figure1Fixture, Example61BatchRestrictsBothSiblings) {
     }
     return out;
   };
-  SQ_ASSERT_OK(
-      h->iup().ProcessBatch(leaf_deltas, h->DirectPoll(), comp).status());
+  SQ_ASSERT_OK_AND_ASSIGN(VapPlan plan, h->vap().Plan(requests));
+  SQ_ASSERT_OK(h->iup()
+                   .ProcessBatch(leaf_deltas, plan, h->DirectPoll(), comp)
+                   .status());
   SQ_ASSERT_OK(h->VerifyRepos());
   SQ_ASSERT_OK_AND_ASSIGN(const Relation* t, h->store().Repo("T"));
   EXPECT_EQ(t->CountOf(Tuple({4, 300})), 1);

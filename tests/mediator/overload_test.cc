@@ -456,6 +456,30 @@ TEST_F(OverloadMediatorTest, DegradedReadsServeMaterializedFractionAtDeadline) {
   EXPECT_GE(mediator_->stats().degraded_queries, 1u);
 }
 
+TEST_F(OverloadMediatorTest, QueuedQueryExpiresTypedEvenWithDegradedReads) {
+  // Only a query that has started is served its materialized fraction at
+  // its deadline. The full-width query holds the transaction slot for its
+  // ~2.5s poll round; the second one, due 0.5s after submission, is still
+  // queued behind it when its deadline fires, so it expires typed.
+  auto vdp = BuildFigure1Vdp();
+  ASSERT_TRUE(vdp.ok());
+  MediatorOptions options;
+  options.degraded_reads = true;
+  MakeMediator(AnnotationExample23(*vdp), options);
+  QueryAt(5.0, ViewQuery{"T", {}, nullptr});
+  ViewQuery queued{"T", {}, nullptr};
+  queued.deadline = 5.6;
+  QueryAt(5.1, queued);
+  scheduler_.RunUntil(200.0);
+  ASSERT_EQ(results_.size(), 2u);
+  EXPECT_EQ(results_[0].status().code(), StatusCode::kDeadlineExceeded);
+  ASSERT_TRUE(results_[1].ok()) << results_[1].status().ToString();
+  EXPECT_FALSE(results_[1].value().degraded);
+  EXPECT_EQ(mediator_->stats().deadline_exceeded_queries, 1u);
+  EXPECT_EQ(mediator_->stats().degraded_queries, 0u);
+  EXPECT_FALSE(mediator_->busy());
+}
+
 TEST_F(OverloadMediatorTest, AdmissionGateRejectsOverlappingInteractive) {
   auto vdp = BuildFigure1Vdp();
   ASSERT_TRUE(vdp.ok());

@@ -87,7 +87,9 @@ TEST_F(VapFixture, ChildBasedExecutionAnswersQuery) {
   ASSERT_TRUE(vdp.ok());
   auto h = MakeHarness(AnnotationExample23(*vdp), VapStrategy::kChildBased);
   QueryProcessor& qp = h->qp();
-  ViewQuery q{"T", {"r3", "s1"}, Pred("r3 < 100")};
+  SQ_ASSERT_OK_AND_ASSIGN(
+      PreparedQuery q,
+      qp.Prepare(ViewQuery{"T", {"r3", "s1"}, Pred("r3 < 100")}));
   SQ_ASSERT_OK_AND_ASSIGN(auto ans, qp.Answer(q, h->DirectPoll(), nullptr));
   EXPECT_TRUE(ans.used_virtual);
   EXPECT_EQ(Rows(ans.data), "(11, 100) ");  // r3=150 filtered by r3<100
@@ -107,14 +109,16 @@ TEST_F(VapFixture, PreparedQueryRunsNormalizationOnce) {
   // needed = query attrs + cond attrs, schema order.
   EXPECT_EQ(pq.needed, (std::vector<std::string>{"r1", "r3", "s1", "s2"}));
 
-  // One Prepare serves PlanFor and Answer; results match the raw-query path.
+  // One Prepare serves PlanFor and Answer; the one-call Answer matches the
+  // Mediator's composition: Execute the PlanFor plan, then AnswerWithTemps.
   SQ_ASSERT_OK_AND_ASSIGN(auto plan, qp.PlanFor(pq));
-  EXPECT_TRUE(plan.has_value());
+  ASSERT_TRUE(plan.has_value());
   SQ_ASSERT_OK_AND_ASSIGN(auto prepared_ans,
                           qp.Answer(pq, h->DirectPoll(), nullptr));
-  SQ_ASSERT_OK_AND_ASSIGN(auto raw_ans,
-                          qp.Answer(raw, h->DirectPoll(), nullptr));
-  EXPECT_EQ(Rows(prepared_ans.data), Rows(raw_ans.data));
+  SQ_ASSERT_OK_AND_ASSIGN(TempStore temps,
+                          h->vap().Execute(*plan, h->DirectPoll(), nullptr));
+  SQ_ASSERT_OK_AND_ASSIGN(auto composed_ans, qp.AnswerWithTemps(pq, temps));
+  EXPECT_EQ(Rows(prepared_ans.data), Rows(composed_ans.data));
   EXPECT_TRUE(prepared_ans.used_virtual);
 
   // Prepare surfaces validation errors exactly like Normalize.
@@ -149,10 +153,12 @@ TEST_F(VapFixture, KeyBasedPlanPollsOnlySupplierChild) {
 TEST_F(VapFixture, KeyBasedAndChildBasedAgree) {
   auto vdp = BuildFigure1Vdp();
   ASSERT_TRUE(vdp.ok());
-  ViewQuery q{"T", {"r3", "s1"}, Pred("r3 < 100")};
   auto h_child =
       MakeHarness(AnnotationExample23(*vdp), VapStrategy::kChildBased);
   auto h_key = MakeHarness(AnnotationExample23(*vdp), VapStrategy::kKeyBased);
+  SQ_ASSERT_OK_AND_ASSIGN(
+      PreparedQuery q,
+      h_child->qp().Prepare(ViewQuery{"T", {"r3", "s1"}, Pred("r3 < 100")}));
   SQ_ASSERT_OK_AND_ASSIGN(auto a1,
                           h_child->qp().Answer(q, h_child->DirectPoll(),
                                                nullptr));
@@ -207,8 +213,9 @@ TEST_F(VapFixture, EagerCompensationRollsBackPendingUpdates) {
     return d;
   };
   TempRequest req{"R'", {"r1", "r2", "r3"}, nullptr};
+  SQ_ASSERT_OK_AND_ASSIGN(VapPlan plan, h->vap().Plan({req}));
   SQ_ASSERT_OK_AND_ASSIGN(TempStore temps,
-                          h->vap().Materialize({req}, h->DirectPoll(), comp));
+                          h->vap().Execute(plan, h->DirectPoll(), comp));
   const TempStore::Entry* e = temps.Find("R'");
   ASSERT_NE(e, nullptr);
   // The compensated answer must NOT contain the pending tuple.
@@ -244,8 +251,9 @@ TEST_F(VapFixture, EagerCompensationRespectsKeySetRestriction) {
   };
   Expr::Ptr keys = Expr::In("s1", {100, 300, 500});
   TempRequest req{"S'", {"s1", "s2"}, keys};
+  SQ_ASSERT_OK_AND_ASSIGN(VapPlan plan, h->vap().Plan({req}));
   SQ_ASSERT_OK_AND_ASSIGN(TempStore temps,
-                          h->vap().Materialize({req}, h->DirectPoll(), comp));
+                          h->vap().Execute(plan, h->DirectPoll(), comp));
   const TempStore::Entry* e = temps.Find("S'");
   ASSERT_NE(e, nullptr);
   // Oracle: the reflected (time-0) S through S' and the key set.
@@ -266,8 +274,9 @@ TEST_F(VapFixture, WithoutCompensationPendingLeaks) {
   auto h = MakeHarness(AnnotationExample22(*vdp), VapStrategy::kChildBased);
   SQ_ASSERT_OK(db1_->InsertTuple(1, "R", Tuple({7, 100, 77, 100})));
   TempRequest req{"R'", {"r1", "r2", "r3"}, nullptr};
-  SQ_ASSERT_OK_AND_ASSIGN(
-      TempStore temps, h->vap().Materialize({req}, h->DirectPoll(), nullptr));
+  SQ_ASSERT_OK_AND_ASSIGN(VapPlan plan, h->vap().Plan({req}));
+  SQ_ASSERT_OK_AND_ASSIGN(TempStore temps,
+                          h->vap().Execute(plan, h->DirectPoll(), nullptr));
   EXPECT_TRUE(temps.Find("R'")->data.Contains(Tuple({7, 100, 77})));
 }
 

@@ -92,7 +92,8 @@ class DirectHarness {
   }
 
   /// Commits \p delta at \p source and propagates it (general IUP with
-  /// in-flight compensation, since polls see the post-commit state).
+  /// in-flight compensation, since polls see the post-commit state): the
+  /// Mediator's composition, Preparation → Vap::Plan → ProcessBatch.
   Result<IupStats> CommitAndPropagate(const std::string& source, Time now,
                                       const MultiDelta& delta) {
     auto sit = sources_.find(source);
@@ -124,7 +125,10 @@ class DirectHarness {
       if (d != nullptr) SQ_RETURN_IF_ERROR(out.SmashInPlace(*d));
       return out;
     };
-    return iup_.ProcessBatch(leaf_deltas, DirectPoll(), comp);
+    SQ_ASSIGN_OR_RETURN(std::vector<TempRequest> requests,
+                        iup_.PrepareTempRequests(leaf_deltas));
+    SQ_ASSIGN_OR_RETURN(VapPlan plan, vap_.Plan(requests));
+    return iup_.ProcessBatch(leaf_deltas, plan, DirectPoll(), comp);
   }
 
   /// Verifies every repository equals the materialized projection of a
