@@ -166,6 +166,16 @@ struct Deployment {
   Mediator* root = nullptr;
   Mediator* bottom = nullptr;              // crash target (non-root lowest)
   ExportAnnouncer* bottom_exporter = nullptr;
+
+  /// Tears the tree down root first, each exporter between its parent and
+  /// its child: a parent's announcers listen on its children's mirrors, and
+  /// an exporter listens on its child.
+  ~Deployment() {
+    while (!meds.empty()) {
+      meds.pop_back();
+      if (!exporters.empty()) exporters.pop_back();
+    }
+  }
 };
 
 std::unique_ptr<Deployment> MakeDeployment(Topo topo, const Workload& w) {

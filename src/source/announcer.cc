@@ -12,10 +12,15 @@ Announcer::Announcer(SourceDb* db, Scheduler* scheduler,
       scheduler_(scheduler),
       channel_(channel),
       period_(period),
-      faults_(faults) {
-  db_->AddCommitListener(
-      [this](Time now, const MultiDelta& delta) { OnCommit(now, delta); });
-  db_->AddRestartListener([this](Time now) { OnRestart(now); });
+      faults_(faults),
+      commit_listener_(db_->AddCommitListener(
+          [this](Time now, const MultiDelta& delta) { OnCommit(now, delta); })),
+      restart_listener_(
+          db_->AddRestartListener([this](Time now) { OnRestart(now); })) {}
+
+Announcer::~Announcer() {
+  db_->RemoveCommitListener(commit_listener_);
+  db_->RemoveRestartListener(restart_listener_);
 }
 
 void Announcer::Start() {

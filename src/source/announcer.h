@@ -33,7 +33,8 @@ namespace squirrel {
 /// \brief Batches a source's committed deltas into UpdateMessages.
 class Announcer {
  public:
-  /// \param db the source to announce for (installs its commit listener)
+  /// \param db the source to announce for (installs its commit and restart
+  ///        listeners; must outlive the announcer)
   /// \param scheduler event loop (not owned)
   /// \param channel FIFO link to the mediator (not owned)
   /// \param period announcement period; 0 announces on every commit
@@ -41,6 +42,10 @@ class Announcer {
   Announcer(SourceDb* db, Scheduler* scheduler,
             Channel<SourceToMediatorMsg>* channel, Time period,
             FaultInjector* faults = nullptr);
+  /// Removes both listeners from the source.
+  ~Announcer();
+  Announcer(const Announcer&) = delete;
+  Announcer& operator=(const Announcer&) = delete;
 
   /// Begins periodic announcements (no-op for period 0, which is push-based).
   void Start();
@@ -70,6 +75,8 @@ class Announcer {
   Channel<SourceToMediatorMsg>* channel_;
   Time period_;
   FaultInjector* faults_;
+  SourceDb::ListenerId commit_listener_;
+  SourceDb::ListenerId restart_listener_;
   MultiDelta pending_;
   uint64_t seq_ = 0;
   uint64_t restarts_ = 0;

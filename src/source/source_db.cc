@@ -68,7 +68,7 @@ Status SourceDb::Commit(Time now, const MultiDelta& delta) {
         iit == key_indexes_.end() ? std::span<KeyIndex>() : iit->second));
   }
   log_.push_back({now, delta});
-  for (const auto& fn : commit_listeners_) fn(now, delta);
+  for (const auto& listener : commit_listeners_) listener.fn(now, delta);
   return Status::OK();
 }
 
@@ -167,7 +167,7 @@ const KeyIndex& SourceDb::IndexFor(const std::string& rel_name,
 
 void SourceDb::Restart(Time now) {
   ++epoch_;
-  for (const auto& fn : restart_listeners_) fn(now);
+  for (const auto& listener : restart_listeners_) listener.fn(now);
 }
 
 std::vector<Time> SourceDb::CommitTimes() const {

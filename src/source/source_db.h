@@ -10,6 +10,7 @@
 #ifndef SQUIRREL_SOURCE_SOURCE_DB_H_
 #define SQUIRREL_SOURCE_SOURCE_DB_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -80,12 +81,23 @@ class SourceDb {
                          const std::vector<std::string>& attrs,
                          const Expr::Ptr& cond) const;
 
+  /// Names an installed listener, for removing it again.
+  using ListenerId = uint64_t;
+
   /// Adds a listener invoked after every successful commit (the announcer
   /// of an active source). Sharded topologies attach several announcers to
   /// one db — each consuming mediator installs its own — so listeners
-  /// accumulate; they fire in installation order.
-  void AddCommitListener(std::function<void(Time, const MultiDelta&)> fn) {
-    commit_listeners_.push_back(std::move(fn));
+  /// accumulate; they fire in installation order. A listener that captures
+  /// an object must be removed before that object dies.
+  ListenerId AddCommitListener(
+      std::function<void(Time, const MultiDelta&)> fn) {
+    commit_listeners_.push_back({next_listener_id_, std::move(fn)});
+    return next_listener_id_++;
+  }
+  /// Removes the commit listener \p id.
+  void RemoveCommitListener(ListenerId id) {
+    std::erase_if(commit_listeners_,
+                  [id](const auto& l) { return l.id == id; });
   }
 
   /// Current incarnation number. Starts at 1 and bumps on every Restart().
@@ -103,8 +115,14 @@ class SourceDb {
 
   /// Adds a listener invoked by Restart() after the epoch bump (the
   /// announcer of an active source). Listeners fire in installation order.
-  void AddRestartListener(std::function<void(Time)> fn) {
-    restart_listeners_.push_back(std::move(fn));
+  ListenerId AddRestartListener(std::function<void(Time)> fn) {
+    restart_listeners_.push_back({next_listener_id_, std::move(fn)});
+    return next_listener_id_++;
+  }
+  /// Removes the restart listener \p id.
+  void RemoveRestartListener(ListenerId id) {
+    std::erase_if(restart_listeners_,
+                  [id](const auto& l) { return l.id == id; });
   }
 
   /// Number of committed transactions.
@@ -131,8 +149,14 @@ class SourceDb {
   /// single-threaded, like its relations).
   mutable std::map<std::string, std::vector<KeyIndex>> key_indexes_;
   std::vector<LogEntry> log_;
-  std::vector<std::function<void(Time, const MultiDelta&)>> commit_listeners_;
-  std::vector<std::function<void(Time)>> restart_listeners_;
+  template <typename Fn>
+  struct Listener {
+    ListenerId id;
+    std::function<Fn> fn;
+  };
+  std::vector<Listener<void(Time, const MultiDelta&)>> commit_listeners_;
+  std::vector<Listener<void(Time)>> restart_listeners_;
+  ListenerId next_listener_id_ = 0;
   uint64_t epoch_ = 1;
 };
 

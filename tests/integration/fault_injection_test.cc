@@ -213,5 +213,25 @@ TEST(FaultSimHarnessTest, SeededRunIsConsistentAndReplaysByteIdentical) {
   }
 }
 
+TEST(FaultSimHarnessTest, RejectsOptionsItCannotDeploy) {
+  using SF = testing::FaultSimOptions::StorageFault;
+  using Topology = testing::FaultSimOptions::Topology;
+  const std::vector<std::pair<std::string, testing::FaultSimOptions>> cases =
+      {{"mediator crashes without durability", {.mediator_crashes = 1}},
+       {"crash point without durability", {.crash_at_wal_record = 0}},
+       {"storage fault without durability",
+        {.storage_fault = SF::kBitFlip}},
+       {"final crash+recover without durability",
+        {.final_crash_recover = true}},
+       {"crash point on a shard tree",
+        {.durability = true,
+         .crash_at_wal_record = 0,
+         .topology = Topology::kTwoShard}}};
+  for (const auto& [what, opts] : cases) {
+    auto run = testing::RunFaultSim(1, opts);
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << what;
+  }
+}
+
 }  // namespace
 }  // namespace squirrel

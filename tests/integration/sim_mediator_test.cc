@@ -311,6 +311,23 @@ TEST_F(SimFigure1, QueriesSerializeWithUpdates) {
       << (report.violations.empty() ? "" : report.violations[0]);
 }
 
+// A mediator's announcers listen on sources that outlive it. Destroying a
+// started mediator must unhook them, so the sources' later commits and
+// restarts reach no listener of the dead mediator.
+TEST_F(SimFigure1, SourcesOutliveADestroyedMediator) {
+  MakeMediator(AnnotationExample21(), MediatorOptions{});
+  scheduler_.RunUntil(5.0);
+  mediator_.reset();
+  SQ_EXPECT_OK(db1_->InsertTuple(10.0, "R", Tuple({2, 100, 22, 100})));
+  SQ_EXPECT_OK(db2_->InsertTuple(10.0, "S", Tuple({300, 7, 30})));
+  db1_->Restart(11.0);
+  db2_->Restart(11.0);
+  EXPECT_EQ(db1_->epoch(), 2u);
+  EXPECT_EQ(db2_->epoch(), 2u);
+  EXPECT_EQ(db1_->CommitCount(), 2u);
+  EXPECT_EQ(db2_->CommitCount(), 3u);
+}
+
 /// Submits \p q at t = 1 to a fresh Example 2.1 mediator over Figure 1's
 /// sources and returns the status the query resolves with.
 Status StatusOfQuery(const ViewQuery& q, bool mvcc_reads) {

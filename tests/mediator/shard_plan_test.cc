@@ -212,8 +212,11 @@ class ExportAnnouncerE2E : public ::testing::Test {
   MemLogDevice child_dev_;
   std::unique_ptr<SourceDb> db1_, db2_;
   ShardPlan plan_;
-  std::unique_ptr<Mediator> child_, top_;
+  // Declared so that teardown runs top_, exporter_, child_: the top's
+  // announcers listen on the exporter's mirror, the exporter on the child.
+  std::unique_ptr<Mediator> child_;
   std::unique_ptr<ExportAnnouncer> exporter_;
+  std::unique_ptr<Mediator> top_;
 };
 
 TEST_F(ExportAnnouncerE2E, ParentConsumesChildExports) {

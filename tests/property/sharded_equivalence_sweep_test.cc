@@ -30,7 +30,6 @@ constexpr uint64_t kSeedsPerChunk = 25;
 // Per-chunk fault-model layers the single/sharded comparison rides on.
 struct Scenario {
   bool durability = false;
-  bool wal = false;
   int mediator_crashes = 0;  // also drives per-child crash/recovery windows
   int source_restarts = 0;
   double snapshot_corrupt_prob = 0;
@@ -43,19 +42,17 @@ Scenario ChunkScenario(int chunk) {
     case 0:  // plain fault sim (message loss/dup/reorder baked in)
       return {};
     case 1:  // WAL durability + crash/recovery of EVERY tier mid-run
-      return {.durability = true, .wal = true, .mediator_crashes = 2};
+      return {.durability = true, .mediator_crashes = 2};
     case 2:  // source restarts + anti-entropy resync through the tree
       return {.durability = true,
-              .wal = true,
               .source_restarts = 2,
               .require_all_healthy = true};
     case 3:  // corrupted snapshot payloads on every link (wire checksums)
-      return {.durability = true, .wal = true, .snapshot_corrupt_prob = 0.3};
+      return {.durability = true, .snapshot_corrupt_prob = 0.3};
     default:  // down sources + degraded reads at every tier: a parent
               // answering from a resyncing child's mirror must annotate
               // staleness exactly like the single-mediator run does
       return {.durability = true,
-              .wal = true,
               .source_restarts = 2,
               .require_all_healthy = true,
               .degraded_reads = true};
@@ -66,7 +63,6 @@ FaultSimOptions ChunkOptions(const Scenario& s,
                              FaultSimOptions::Topology topo) {
   FaultSimOptions opts;
   opts.durability = s.durability;
-  opts.wal = s.wal;
   opts.mediator_crashes = s.mediator_crashes;
   opts.source_restarts = s.source_restarts;
   opts.snapshot_corrupt_prob = s.snapshot_corrupt_prob;

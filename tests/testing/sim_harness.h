@@ -4,12 +4,15 @@
 // structural variations, a safe random annotation, per-source fault plans
 // (delay jitter, drop/retransmit, duplicates, crash windows, slow polls),
 // delay configuration, and a keyed update/query workload — from one seed,
-// runs the mediator to quiescence, and then checks that
+// deploys it as a tree of mediator tiers (one tier for kSingle, a shard tree
+// otherwise; one runner wires, crashes and checks every topology), runs the
+// deployment to quiescence, and then checks that
 //   (1) every export relation equals a from-scratch recomputation over the
 //       final source states,
-//   (2) the whole trace passes the independent consistency checker, and
-//   (3) the run produced a deterministic rendering (trace_dump) that a
-//       replay of the same seed must reproduce byte for byte.
+//   (2) every tier's trace passes the independent consistency checker, and
+//   (3) the run produced a deterministic rendering (trace_dump: every tier's
+//       trace and MediatorStats counters plus the deployment's counters)
+//       that a replay of the same seed must reproduce byte for byte.
 // Every error message names the seed so a failing schedule can be replayed
 // in isolation (see DESIGN.md "Fault model & determinism").
 
@@ -27,16 +30,11 @@ namespace squirrel {
 namespace testing {
 
 struct FaultSimOptions {
-  int steps = 30;      ///< workload events (commits + queries)
-  Time drain = 300.0;  ///< quiescence horizon after the last event
+  int steps = 30;  ///< workload events (commits + queries)
   // ---- mediator durability & crash/restart (PR: crash recovery) ----
-  /// Give the mediator an in-memory log device (checkpoints + WAL).
+  /// Give every mediator an in-memory log device (WAL, with a checkpoint
+  /// every 4 update commits).
   bool durability = false;
-  /// False = checkpoint-only mode (demonstrably lossy; tests use this to
-  /// prove the WAL is load-bearing).
-  bool wal = true;
-  /// Update commits between periodic checkpoints.
-  uint64_t checkpoint_every = 4;
   /// Seeded mediator crash/recover windows inside the workload horizon:
   /// the mediator is killed at each window's start and recovered at its
   /// end. Requires durability. The windows are shared with every source's
@@ -99,14 +97,15 @@ struct FaultSimOptions {
   /// corruption the mediator must detect by checksum and re-request.
   double snapshot_corrupt_prob = 0;
   // ---- sharded deployment (PR: mediator-as-a-source composition) ----
-  /// How the seed's scenario is deployed. kSingle is the classic one-mediator
-  /// run. kTwoShard splits the VDP into a child shard plus a root consuming
-  /// the child's exports through an ExportAnnouncer mirror; kThreeTier adds a
-  /// pass-through middle tier. The SCENARIO (sources, VDP, annotation, fault
-  /// schedules, workload) is drawn identically for every topology — only the
-  /// deployment differs — so final_exports must be byte-identical across
-  /// topologies of the same seed. Sharded-only randomness (mirror-link
-  /// faults, child crash windows) draws from a dedicated rng stream.
+  /// How the seed's scenario is deployed. kSingle is one mediator over the
+  /// whole VDP (a tree of one tier, named "top"). kTwoShard splits the VDP
+  /// into a child shard plus a root consuming the child's exports through an
+  /// ExportAnnouncer mirror; kThreeTier adds a pass-through middle tier. The
+  /// SCENARIO (sources, VDP, annotation, fault schedules, workload) is drawn
+  /// identically for every topology — only the deployment differs — so
+  /// final_exports must be byte-identical across topologies of the same
+  /// seed. Sharded-only randomness (mirror-link faults, child crash windows)
+  /// draws from a dedicated rng stream.
   enum class Topology { kSingle = 0, kTwoShard, kThreeTier };
   Topology topology = Topology::kSingle;
   // ---- overload protection (PR: deadlines/admission/memory budgets) ----
@@ -124,9 +123,9 @@ struct FaultSimOptions {
   /// the harness's final correctness queries must always run.
   uint32_t admit_max_active = 0;
   uint32_t admit_max_queued = 0;
-  /// Process-global memory budget for the run (bytes; 0 = off).
+  /// Soft limit of a process-global memory budget for the run (bytes;
+  /// 0 = no budget). The budget has no hard limit.
   size_t memory_soft_limit = 0;
-  size_t memory_hard_limit = 0;
   /// Poll-timeout backoff ceiling and seeded jitter (MediatorOptions
   /// passthrough; jitter seed = the run seed, so replays agree).
   Time poll_backoff_cap = 0;
@@ -136,22 +135,19 @@ struct FaultSimOptions {
 /// What one seeded schedule produced (for assertions and reporting).
 struct FaultSimResult {
   uint64_t seed = 0;
-  /// Deterministic rendering of the mediator trace plus summary counters;
-  /// the replay-identity check compares these strings.
+  /// Deterministic rendering of every tier's trace and MediatorStats
+  /// counters plus the deployment's summary counters; the replay-identity
+  /// check compares these strings.
   std::string trace_dump;
-  MediatorStats stats;
+  MediatorStats stats;  ///< the root mediator's counters
   uint64_t exports_checked = 0;
-  uint64_t queries_ok = 0;
-  /// Mid-run queries that failed over with kUnavailable (legal under
-  /// faults; any other failure is an error).
-  uint64_t queries_failed = 0;
-  // Summed fault-injector counters across sources.
+  // Summed fault-injector counters across every link.
   uint64_t transmissions_lost = 0;
   uint64_t duplicates = 0;
   uint64_t blackholed = 0;
   uint64_t slow_polls = 0;
   uint64_t mediator_retransmits = 0;  ///< deliveries pushed past a dead mediator
-  // Durability / crash-recovery observability.
+  // Durability / crash-recovery observability, summed across tiers.
   uint64_t mediator_crashes = 0;
   uint64_t recoveries = 0;
   uint64_t recovery_txns_replayed = 0;
@@ -170,11 +166,7 @@ struct FaultSimResult {
   uint64_t resyncs_started = 0;
   uint64_t resyncs_completed = 0;
   uint64_t snapshots_requested = 0;
-  uint64_t updates_dropped_resync = 0;
-  uint64_t updates_shed = 0;      ///< backpressure merges
   uint64_t requarantines = 0;
-  /// Mid-run queries answered in degraded mode (stale + annotated).
-  uint64_t queries_degraded = 0;
   /// Deterministic rendering of the NON-restart fault schedule (jitter,
   /// drop/dup probabilities, source crash windows, mediator windows) plus
   /// the workload horizon. Must be byte-identical between a run with
@@ -191,22 +183,20 @@ struct FaultSimResult {
   std::string corrupted_diag;
   uint64_t storage_faults_injected = 0;  ///< lying-disk events that fired
   uint64_t wal_append_failures = 0;
-  uint64_t updates_dropped_wal = 0;
   uint64_t recovery_tail_repairs = 0;
   uint64_t recovery_checkpoint_fallbacks = 0;
-  uint64_t resyncs_after_recovery = 0;
-  uint64_t update_checksum_failures = 0;
   uint64_t snapshot_checksum_failures = 0;
   uint64_t payloads_corrupted = 0;  ///< injector-corrupted snapshot payloads
-  // Sharded-deployment observability (kSingle runs leave these zero).
-  uint64_t shards = 0;              ///< mediators in the deployment
+  // Deployment shape and mirror traffic.
+  uint64_t shards = 0;  ///< mediators in the deployment (1 for kSingle)
   uint64_t commits_mirrored = 0;    ///< child commits re-announced by mirrors
   uint64_t corrective_commits = 0;  ///< mirror re-bases after child recovery
   /// Every MediatorStats counter of every mediator, rendered name=value per
-  /// line (per-shard sections in sharded runs). Compared byte-for-byte by
-  /// the replay-identity checks: a counter that silently drifts between a
-  /// run and its replay — e.g. one reset by Recover() instead of preserved —
-  /// shows up here even if no export diverges.
+  /// line in one "== shard <name> ==" section per tier (trace_dump carries
+  /// the same sections). Compared byte-for-byte by the replay-identity
+  /// checks: a counter that silently drifts between a run and its replay —
+  /// e.g. one reset by Recover() instead of preserved — shows up here even
+  /// if no export diverges.
   std::string stats_dump;
   // Overload-protection observability (zero without query_storm / budgets).
   uint64_t storm_queries = 0;            ///< storm queries injected
@@ -222,10 +212,9 @@ struct FaultSimResult {
   /// / fault set (sweep invariant: always 0 — no silent failures).
   uint64_t storm_untyped = 0;
   /// Per-storm-query latency (resolution time - submit time), resolution
-  /// order. The overload bench derives p50/p99 and goodput from these.
+  /// order. RunFaultSim fails the run unless every storm query resolved,
+  /// i.e. unless there is one entry per storm query.
   std::vector<Time> storm_latencies;
-  uint64_t budget_peak = 0;          ///< memory budget high-water (bytes)
-  uint64_t budget_hard_cancels = 0;  ///< hard-limit query cancellations
 };
 
 /// Runs one seeded fault schedule end to end. Returns an error naming the
