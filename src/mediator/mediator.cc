@@ -1039,15 +1039,17 @@ void Mediator::RunUpdateTxn() {
     }
   }
   // IUP Preparation and VAP planning, once per transaction (paper §6.4
-  // phase a, §6.3 phase 1). The plan reads only the batch's deltas and the
-  // static annotation, never repository contents, so the commit below
-  // executes exactly this plan however long the polls take. No temp
-  // requests make an empty plan: pure local propagation.
+  // phase a, §6.3 phase 1). The plan reads the batch's deltas and the
+  // static annotation; its key sets are bound to the repositories as they
+  // stand now, which the commit below reads too, because this transaction
+  // holds the slot however long the polls take. No temp requests make an
+  // empty plan: pure local propagation.
   Result<VapPlan> planned = [&]() -> Result<VapPlan> {
     SQ_RETURN_IF_ERROR(st);
     SQ_ASSIGN_OR_RETURN(std::vector<TempRequest> requests,
                         iup_->PrepareTempRequests(*leaf_deltas));
-    return vap_->Plan(requests);
+    SQ_ASSIGN_OR_RETURN(VapPlan plan, vap_->Plan(requests));
+    return vap_->Bind(std::move(plan));
   }();
   if (!planned.ok()) {
     SQ_LOG(kError) << "update transaction failed: "
@@ -1194,9 +1196,11 @@ void Mediator::SubmitQuery(const ViewQuery& q,
   }
   // Prepare and plan once. Both read only the query and the static
   // annotation — never data or time — so snapshot eligibility below, the
-  // transaction and a deadline-degraded answer all reuse them. An invalid
-  // query is refused here with its typed error, before it spends an
-  // admission slot.
+  // transaction and a deadline-degraded answer all reuse them. The plan's
+  // key sets, which do read data, are bound when the answer's state is
+  // fixed: as the transaction starts, or from the pinned snapshot. An
+  // invalid query is refused here with its typed error, before it spends
+  // an admission slot.
   auto run = std::make_shared<QueryRun>();
   Status planned = [&]() -> Status {
     SQ_ASSIGN_OR_RETURN(run->prepared, qp_->Prepare(q));
@@ -1391,6 +1395,15 @@ void Mediator::RunQueryTxn(std::shared_ptr<QueryRun> run) {
   }
   active_query_run_ = run;
   run->started = true;
+  // Key sets come from the repositories as this transaction starts: the
+  // query may have waited behind updates since it was planned, and the
+  // answer reads its materialized part in this state.
+  Result<VapPlan> bound = vap_->Bind(std::move(run->plan));
+  if (!bound.ok()) {
+    ResolveQuery(run, bound.status());
+    return;
+  }
+  run->plan = std::move(bound).value();
   // Answers from the polled sources (none for a poll-free plan) and stamps
   // the reflect vector now; the commit follows after q_proc_delay.
   auto execute = [this, run]() {

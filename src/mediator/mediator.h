@@ -327,7 +327,7 @@ class Mediator {
     /// transaction and a deadline-degraded answer all reuse them.
     PreparedQuery prepared;
     /// The VAP plan the query needs; empty when the materialized data
-    /// suffices.
+    /// suffices. RunQueryTxn binds its key sets as the transaction starts.
     VapPlan plan;
     std::function<void(Result<ViewAnswer>)> cb;
     /// Cancelled by the deadline timer or the memory budget's hard limit;

@@ -1,13 +1,17 @@
 #include "mediator/vap.h"
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "common/cancel.h"
 #include "common/strings.h"
 #include "delta/delta_algebra.h"
 #include "relational/index.h"
 #include "relational/operators.h"
+#include "vdp/rules.h"
 
 namespace squirrel {
 
@@ -51,6 +55,80 @@ std::set<std::string> AttrsOf(const Expr::Ptr& e) {
 bool ContainsAttr(const std::vector<std::string>& attrs,
                   const std::string& a) {
   return std::find(attrs.begin(), attrs.end(), a) != attrs.end();
+}
+
+/// \p e with every subtree found (by identity) in \p bound replaced by its
+/// mapped expression; untouched subtrees are shared, not copied.
+Expr::Ptr Substitute(const Expr::Ptr& e,
+                     const std::map<const Expr*, Expr::Ptr>& bound) {
+  if (!e) return e;
+  if (auto it = bound.find(e.get()); it != bound.end()) return it->second;
+  if (e->kind() == Expr::Kind::kUnary) {
+    Expr::Ptr child = Substitute(e->left(), bound);
+    return child == e->left() ? e : Expr::Unary(e->un_op(), child);
+  }
+  if (e->kind() != Expr::Kind::kBinary) return e;
+  Expr::Ptr l = Substitute(e->left(), bound);
+  Expr::Ptr r = Substitute(e->right(), bound);
+  if (l == e->left() && r == e->right()) return e;
+  switch (e->bin_op()) {
+    case BinOp::kAnd:
+      return Expr::And(l, r);
+    case BinOp::kOr:
+      return Expr::Or(l, r);
+    default:
+      return Expr::Binary(e->bin_op(), l, r);
+  }
+}
+
+/// The attribute and values an `attr = const`, `const = attr` or `attr IN`
+/// clause looks up, or nullopt for any other clause. An equality with NaN
+/// holds for every number (Value order), which no lookup finds.
+std::optional<std::pair<std::string, std::vector<Value>>> Lookup(
+    const Expr& clause) {
+  if (clause.kind() == Expr::Kind::kIn) {
+    return std::make_pair(clause.attr_name(), clause.in_list()->values());
+  }
+  if (clause.kind() != Expr::Kind::kBinary || clause.bin_op() != BinOp::kEq) {
+    return std::nullopt;
+  }
+  const Expr* attr = clause.left().get();
+  const Expr* value = clause.right().get();
+  if (attr->kind() != Expr::Kind::kAttr) std::swap(attr, value);
+  if (attr->kind() != Expr::Kind::kAttr ||
+      value->kind() != Expr::Kind::kConst) {
+    return std::nullopt;
+  }
+  const Value& v = value->value();
+  if (v.type() == ValueType::kDouble && std::isnan(v.AsDouble())) {
+    return std::nullopt;
+  }
+  return std::make_pair(attr->attr_name(), std::vector<Value>{v});
+}
+
+/// `attr IN` the values of \p attr in \p rows, or True when one of them is
+/// NULL or a non-finite double: no IN member matches those, but the key
+/// join does (KeyIndex equality), so the child must stay unrestricted.
+Result<Expr::Ptr> KeySet(const Relation& rows, const std::string& attr) {
+  auto col = rows.schema().IndexOf(attr);
+  if (!col) {
+    return Status::Internal("key set: " + attr + " is not materialized");
+  }
+  std::vector<Value> keys;
+  keys.reserve(rows.DistinctSize());
+  bool exact = true;
+  rows.ForEach([&](const Tuple& t, int64_t count) {
+    (void)count;
+    const Value& key = t.at(*col);
+    if (key.is_null() || (key.type() == ValueType::kDouble &&
+                          !std::isfinite(key.AsDouble()))) {
+      exact = false;
+    } else {
+      keys.push_back(key);
+    }
+  });
+  if (!exact) return Expr::True();
+  return Expr::In(attr, std::move(keys));
 }
 
 }  // namespace
@@ -131,52 +209,55 @@ Result<KeyBasedChoice> Vap::TryKeyBased(const VdpNode& node,
     return Status::Unsupported("key-based: node has no repository");
   }
   auto mat = ann_->MaterializedAttrs(*vdp_, node.name);
+  const std::set<std::string> cond_attrs = AttrsOf(req.cond);
   std::set<std::string> needed(req.attrs.begin(), req.attrs.end());
-  for (const auto& a : AttrsOf(req.cond)) needed.insert(a);
-  std::set<std::string> virt_needed;
+  needed.insert(cond_attrs.begin(), cond_attrs.end());
+  // Group the virtual attributes by the term whose child supplies them.
+  std::vector<std::pair<const ChildTerm*, std::set<std::string>>> groups;
+  std::set<std::string> own;
   for (const auto& a : needed) {
-    if (!ContainsAttr(mat, a)) virt_needed.insert(a);
+    if (ContainsAttr(mat, a)) {
+      own.insert(a);
+      continue;
+    }
+    const ChildTerm* term = KeyBasedSupplier(*vdp_, node, mat, a);
+    if (term == nullptr) {
+      return Status::Unsupported("key-based: no child supplies " + a +
+                                 " with a key materialized in " + node.name);
+    }
+    auto it = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
+      return g.first->child == term->child;
+    });
+    if (it == groups.end()) {
+      groups.emplace_back(term, std::set<std::string>());
+      it = std::prev(groups.end());
+    }
+    it->second.insert(a);
   }
-  if (virt_needed.empty()) {
+  if (groups.empty()) {
     return Status::Unsupported("key-based: nothing virtual requested");
   }
-  for (const auto& term : node.def->terms()) {
-    bool supplies_all = std::all_of(
-        virt_needed.begin(), virt_needed.end(), [&](const std::string& a) {
-          return ContainsAttr(term.project, a);
-        });
-    if (!supplies_all) continue;
-    SQ_ASSIGN_OR_RETURN(const VdpNode* child, vdp_->Get(term.child));
-    const auto& key = child->schema.key();
-    if (key.empty()) continue;
-    bool key_ok = std::all_of(key.begin(), key.end(), [&](const std::string& k) {
-      return ContainsAttr(term.project, k) && ContainsAttr(mat, k) &&
-             node.schema.Contains(k);
-    });
-    if (!key_ok) continue;
 
-    KeyBasedChoice choice;
-    choice.child = term.child;
-    choice.key = key;
-    std::set<std::string> child_attrs(key.begin(), key.end());
-    for (const auto& a : virt_needed) child_attrs.insert(a);
-    for (const auto& a : AttrsOf(term.select)) child_attrs.insert(a);
-    // Clauses of the request condition referencing only child-visible attrs
-    // may also be pushed; include their attrs.
-    for (const auto& a : AttrsOf(req.cond)) {
-      if (child->schema.Contains(a)) child_attrs.insert(a);
+  KeyBasedChoice choice;
+  for (const auto& [term, virt] : groups) {
+    SQ_ASSIGN_OR_RETURN(const VdpNode* child, vdp_->Get(term->child));
+    KeyBasedChoice::Group group;
+    group.child = term->child;
+    group.key = child->schema.key();
+    std::set<std::string> child_attrs(group.key.begin(), group.key.end());
+    child_attrs.insert(virt.begin(), virt.end());
+    // The term's attributes the request condition reads, so that clauses
+    // on them are pushed into the child request.
+    for (const auto& a : cond_attrs) {
+      if (ContainsAttr(term->project, a)) child_attrs.insert(a);
     }
-    choice.child_attrs = NormalizeAttrs(child->schema, child_attrs);
-    std::set<std::string> own(key.begin(), key.end());
-    for (const auto& a : needed) {
-      if (ContainsAttr(mat, a)) own.insert(a);
-    }
-    choice.own_attrs = NormalizeAttrs(node.schema, own);
-    return choice;
+    group.child_attrs = NormalizeAttrs(child->schema, child_attrs);
+    own.insert(group.key.begin(), group.key.end());
+    choice.groups.push_back(std::move(group));
   }
-  return Status::Unsupported(
-      "key-based: no single child supplies all virtual attributes with a "
-      "materialized key");
+  choice.own_attrs = NormalizeAttrs(node.schema, own);
+  choice.own_cond = PushableClauses(req.cond, mat);
+  return choice;
 }
 
 Result<std::vector<TempRequest>> Vap::DerivedFrom(
@@ -310,27 +391,43 @@ Result<VapPlan> Vap::Plan(const std::vector<TempRequest>& input) const {
     if (strategy_ != VapStrategy::kChildBased) {
       auto kb = TryKeyBased(*node, req);
       if (kb.ok()) {
+        const bool keyed = !kb->own_cond->IsTrueLiteral();
         bool use_kb = true;
         if (strategy_ == VapStrategy::kAuto) {
-          // Benefit test: child-based needs temps for every term whose repo
-          // does not cover it; key-based needs at most one.
+          // Benefit test: each construction needs a temp for every child
+          // its repo does not cover. Key-based wins with fewer, and on a
+          // tie when key sets restrict each of its temps to the selected
+          // rows' keys.
           SQ_ASSIGN_OR_RETURN(std::vector<TempRequest> cb,
                               DerivedFrom(*node, req));
           size_t cb_cost = 0;
           for (const auto& c : cb) {
             if (!RepoCovers(c.node, c.attrs)) ++cb_cost;
           }
-          size_t kb_cost = RepoCovers(kb->child, kb->child_attrs) ? 0 : 1;
-          use_kb = kb_cost < cb_cost;
+          size_t kb_cost = 0;
+          for (const auto& g : kb->groups) {
+            if (!RepoCovers(g.child, g.child_attrs)) ++kb_cost;
+          }
+          use_kb = kb_cost < cb_cost || (kb_cost == cb_cost && keyed);
         }
         if (use_kb) {
-          TempRequest child_req;
-          child_req.node = kb->child;
-          child_req.attrs = kb->child_attrs;
-          SQ_ASSIGN_OR_RETURN(const VdpNode* child, vdp_->Get(kb->child));
-          (void)child;
-          child_req.cond = PushableClauses(req.cond, kb->child_attrs);
-          children.push_back(std::move(child_req));
+          for (auto& g : kb->groups) {
+            if (RepoCovers(g.child, g.child_attrs)) continue;
+            TempRequest child_req;
+            child_req.node = g.child;
+            child_req.attrs = g.child_attrs;
+            child_req.cond = PushableClauses(req.cond, g.child_attrs);
+            // Without a selection on the own part, the key set would be
+            // every key of the node: no restriction worth its IN list.
+            if (keyed) {
+              for (const auto& k : g.key) {
+                g.key_sets.push_back(Expr::In(k, {}));
+                child_req.cond = Expr::And(child_req.cond, g.key_sets.back());
+              }
+              plan.bound = false;
+            }
+            children.push_back(std::move(child_req));
+          }
           kb_choices.push_back(std::move(kb).value());
           kb_index = static_cast<int>(kb_choices.size()) - 1;
         }
@@ -375,6 +472,30 @@ Result<const Relation*> Vap::RepoAt(const std::string& node,
   return store_->Repo(node);
 }
 
+Result<Relation> Vap::SelectRepo(const std::string& node,
+                                 const Expr::Ptr& cond,
+                                 const StoreSnapshot* snap) const {
+  SQ_ASSIGN_OR_RETURN(const Relation* repo, RepoAt(node, snap));
+  // A lookup clause on an indexed attribute narrows the scan to the rows
+  // the index holds for its values. An equality would miss NaN keys, which
+  // Value order makes equal to every number, so it scans while any exist.
+  // Snapshot reads bypass the indexes, which track the live repositories.
+  if (snap == nullptr) {
+    for (const auto& clause : ConjunctiveClauses(cond)) {
+      auto lookup = Lookup(*clause);
+      if (!lookup) continue;
+      const KeyIndex* index = store_->Index(node, {lookup->first});
+      if (index == nullptr ||
+          (clause->kind() != Expr::Kind::kIn && index->HasNanKey())) {
+        continue;
+      }
+      return SelectByKeys(*index, lookup->second, cond,
+                          repo->schema().AttributeNames());
+    }
+  }
+  return OpSelect(*repo, cond);
+}
+
 Result<std::shared_ptr<const Relation>> Vap::ChildState(
     const std::string& child, const std::vector<std::string>& attrs,
     const TempStore& temps, const StoreSnapshot* snap) const {
@@ -393,6 +514,64 @@ Result<std::shared_ptr<const Relation>> Vap::ChildState(
   return std::shared_ptr<const Relation>(std::shared_ptr<void>(), &e->data);
 }
 
+Result<Relation> Vap::JoinGroup(const Relation& own,
+                                const KeyBasedChoice::Group& group,
+                                const TempStore& temps,
+                                const StoreSnapshot* snap) const {
+  // Join own x child on the key, dropping the child's duplicate key cols.
+  // The probe key follows the index's attribute order (which may differ
+  // from group.key for a persistent index found by attr *set*).
+  auto probe_join = [&](const KeyIndex& index) -> Result<Relation> {
+    const Schema& probed_schema = index.relation().schema();
+    std::vector<size_t> own_key_pos;
+    for (const auto& k : index.attrs()) {
+      own_key_pos.push_back(*own.schema().IndexOf(k));
+    }
+    // Child attrs not already in `own`, by position in probed_schema.
+    std::vector<size_t> extra_pos;
+    for (const auto& a : group.child_attrs) {
+      if (!own.schema().Contains(a)) {
+        extra_pos.push_back(*probed_schema.IndexOf(a));
+      }
+    }
+    std::vector<Attribute> out_attrs = own.schema().attrs();
+    for (size_t p : extra_pos) out_attrs.push_back(probed_schema.attrs()[p]);
+    Relation joined(Schema(std::move(out_attrs)), Semantics::kBag);
+    Status st = Status::OK();
+    own.ForEach([&](const Tuple& t, int64_t count) {
+      if (!st.ok()) return;
+      st = index.ForEachMatch(
+          t, own_key_pos, [&](const Tuple& ct, int64_t cc) {
+            Tuple row = t;
+            for (size_t p : extra_pos) row.Append(ct.at(p));
+            return joined.Insert(std::move(row), count * cc);
+          });
+    });
+    if (!st.ok()) return st;
+    return joined;
+  };
+  // Child part: prefer the store's persistent (child, key) index over
+  // projecting the child state and indexing the projection. The persistent
+  // index covers full repository tuples; probing it and summing per-tuple
+  // counts is equivalent to probing the bag projection, because repository
+  // tuples that agree on the projected attrs produce identical rows whose
+  // counts Relation::Insert accumulates.
+  // Snapshot reads bypass the persistent indexes: they track the LIVE
+  // repositories, which may already have moved past this snapshot.
+  if (snap == nullptr && RepoCovers(group.child, group.child_attrs)) {
+    if (const KeyIndex* index = store_->Index(group.child, group.key)) {
+      return probe_join(*index);
+    }
+  }
+  SQ_ASSIGN_OR_RETURN(
+      std::shared_ptr<const Relation> child,
+      ChildState(group.child, group.child_attrs, temps, snap));
+  SQ_ASSIGN_OR_RETURN(Relation child_proj,
+                      OpProject(*child, group.child_attrs, Semantics::kBag));
+  SQ_ASSIGN_OR_RETURN(KeyIndex index, KeyIndex::Build(child_proj, group.key));
+  return probe_join(index);
+}
+
 Result<Relation> Vap::Assemble(const TempRequest& req, const TempStore& temps,
                                const KeyBasedChoice* key_based,
                                const StoreSnapshot* snap) const {
@@ -401,71 +580,24 @@ Result<Relation> Vap::Assemble(const TempRequest& req, const TempStore& temps,
   Expr::Ptr req_cond = req.cond ? req.cond : Expr::True();
 
   if (key_based != nullptr) {
-    // Own materialized part.
-    SQ_ASSIGN_OR_RETURN(const Relation* repo, RepoAt(req.node, snap));
+    // Own materialized part, selected by c before projecting: Bind kept it
+    // when it read the key sets from it.
+    const Relation* own_rows = key_based->own.get();
+    Relation selected_own;
+    if (own_rows == nullptr && key_based->own_cond->IsTrueLiteral()) {
+      SQ_ASSIGN_OR_RETURN(own_rows, RepoAt(req.node, snap));
+    } else if (own_rows == nullptr) {
+      SQ_ASSIGN_OR_RETURN(selected_own,
+                          SelectRepo(req.node, key_based->own_cond, snap));
+      own_rows = &selected_own;
+    }
     SQ_ASSIGN_OR_RETURN(
         Relation own,
-        OpProject(*repo, key_based->own_attrs, Semantics::kBag));
-    // Join own x child on the key, dropping the child's duplicate key cols.
-    // The probe key follows the index's attribute order (which may differ
-    // from key_based->key for a persistent index found by attr *set*).
-    auto probe_join = [&](const KeyIndex& index) -> Result<Relation> {
-      const Schema& probed_schema = index.relation().schema();
-      std::vector<size_t> own_key_pos;
-      for (const auto& k : index.attrs()) {
-        own_key_pos.push_back(*own.schema().IndexOf(k));
-      }
-      // Child attrs not already in `own`, by position in probed_schema.
-      std::vector<size_t> extra_pos;
-      for (const auto& a : key_based->child_attrs) {
-        if (!own.schema().Contains(a)) {
-          extra_pos.push_back(*probed_schema.IndexOf(a));
-        }
-      }
-      std::vector<Attribute> out_attrs = own.schema().attrs();
-      for (size_t p : extra_pos) out_attrs.push_back(probed_schema.attrs()[p]);
-      Relation joined(Schema(std::move(out_attrs)), Semantics::kBag);
-      Status st = Status::OK();
-      own.ForEach([&](const Tuple& t, int64_t count) {
-        if (!st.ok()) return;
-        st = index.ForEachMatch(
-            t, own_key_pos, [&](const Tuple& ct, int64_t cc) {
-              Tuple row = t;
-              for (size_t p : extra_pos) row.Append(ct.at(p));
-              return joined.Insert(std::move(row), count * cc);
-            });
-      });
-      if (!st.ok()) return st;
-      return joined;
-    };
-    // Child part: prefer the store's persistent (child, key) index over
-    // projecting the child state and indexing the projection. The
-    // persistent index covers full repository tuples; probing it and summing
-    // per-tuple counts is equivalent to probing the bag projection, because
-    // repository tuples that agree on the projected attrs produce identical
-    // rows whose counts Relation::Insert accumulates.
-    // Snapshot reads bypass the persistent indexes: they track the LIVE
-    // repositories, which may already have moved past this snapshot.
-    const KeyIndex* repo_index = nullptr;
-    if (snap == nullptr &&
-        RepoCovers(key_based->child, key_based->child_attrs)) {
-      repo_index = store_->Index(key_based->child, key_based->key);
+        OpProject(*own_rows, key_based->own_attrs, Semantics::kBag));
+    for (const auto& group : key_based->groups) {
+      SQ_ASSIGN_OR_RETURN(own, JoinGroup(own, group, temps, snap));
     }
-    auto child_based = [&]() -> Result<Relation> {
-      SQ_ASSIGN_OR_RETURN(
-          std::shared_ptr<const Relation> child,
-          ChildState(key_based->child, key_based->child_attrs, temps, snap));
-      SQ_ASSIGN_OR_RETURN(
-          Relation child_proj,
-          OpProject(*child, key_based->child_attrs, Semantics::kBag));
-      SQ_ASSIGN_OR_RETURN(KeyIndex index,
-                          KeyIndex::Build(child_proj, key_based->key));
-      return probe_join(index);
-    };
-    SQ_ASSIGN_OR_RETURN(Relation joined, repo_index != nullptr
-                                             ? probe_join(*repo_index)
-                                             : child_based());
-    SQ_ASSIGN_OR_RETURN(Relation selected, OpSelect(joined, req_cond));
+    SQ_ASSIGN_OR_RETURN(Relation selected, OpSelect(own, req_cond));
     return OpProject(selected, req.attrs, Semantics::kBag);
   }
 
@@ -549,9 +681,45 @@ Result<Relation> Vap::Assemble(const TempRequest& req, const TempStore& temps,
   return OpProject(d, req.attrs, Semantics::kBag);
 }
 
+Result<VapPlan> Vap::Bind(VapPlan plan, const StoreSnapshot* snap) const {
+  if (plan.bound) return plan;
+  // Parents first (build_order holds children first): a key-based node's
+  // own_cond can hold its key-based parent's placeholders, which must be
+  // bound before the node's own part is selected by it, here or in
+  // Assemble.
+  std::map<const Expr*, Expr::Ptr> key_sets;
+  for (auto it = plan.key_based.rbegin(); it != plan.key_based.rend(); ++it) {
+    auto& [index, choice] = *it;
+    choice.own_cond = Substitute(choice.own_cond, key_sets);
+    if (std::none_of(choice.groups.begin(), choice.groups.end(),
+                     [](const auto& g) { return !g.key_sets.empty(); })) {
+      continue;
+    }
+    const std::string& node = plan.build_order[index].node;
+    SQ_ASSIGN_OR_RETURN(Relation own, SelectRepo(node, choice.own_cond, snap));
+    for (const auto& g : choice.groups) {
+      for (size_t i = 0; i < g.key_sets.size(); ++i) {
+        SQ_ASSIGN_OR_RETURN(key_sets[g.key_sets[i].get()],
+                            KeySet(own, g.key[i]));
+      }
+    }
+    choice.own = std::make_shared<const Relation>(std::move(own));
+  }
+  for (auto& req : plan.build_order) req.cond = Substitute(req.cond, key_sets);
+  for (auto& poll : plan.polls) {
+    poll.spec.cond = Substitute(poll.spec.cond, key_sets);
+  }
+  plan.bound = true;
+  return plan;
+}
+
 Result<TempStore> Vap::Execute(const VapPlan& plan, const PollFn& poll,
                                const CompensationFn& comp,
                                const StoreSnapshot* snap) const {
+  if (!plan.bound) {
+    SQ_ASSIGN_OR_RETURN(VapPlan bound, Bind(plan, snap));
+    return Execute(bound, poll, comp, snap);
+  }
   TempStore temps;
   // Map from request index to its poll, if any.
   std::map<size_t, const VapPlan::LeafPoll*> poll_at;

@@ -13,9 +13,14 @@
 //    already reflected in materialized data, then assemble the temporaries
 //    bottom-up through the VDP.
 //
-// The key-based construction of Example 2.3 is available as an alternative
-// derivation when a node's virtual attributes all come from one child whose
-// key is materialized in the node (strategy kKeyBased / kAuto).
+// The key-based construction of Example 2.3 is the alternative derivation
+// of a hybrid node: its own materialized part joined, on each child's key,
+// with one child per group of virtual attributes (π_{r1,s1}T ⋈_{r1} R′
+// ⋈_{s1} S′). When the request selects on materialized attributes (c), each
+// child request carries `key IN π_key σ_c(node)`; planning leaves that key
+// set unbound, and Bind reads it from the state the assembly reads, so a
+// point query polls a child for the selected rows' keys only (strategy
+// kKeyBased / kAuto).
 
 #ifndef SQUIRREL_MEDIATOR_VAP_H_
 #define SQUIRREL_MEDIATOR_VAP_H_
@@ -86,15 +91,33 @@ class TempStore {
 enum class VapStrategy {
   kChildBased,  ///< always expand through derived_from (children)
   kKeyBased,    ///< use the key-based construction whenever applicable
-  kAuto,        ///< key-based when it avoids polling extra children
+  kAuto,        ///< key-based when it needs fewer child temps, or as
+                ///< many restricted by key sets
 };
 
-/// The key-based derivation choice for one request (Example 2.3).
+/// The key-based derivation choice for one request (Example 2.3): the
+/// node's own part σ_own_cond, joined on each group's key with the child
+/// supplying that group of virtual attributes.
 struct KeyBasedChoice {
-  std::string child;                    ///< child supplying virtual attrs
-  std::vector<std::string> key;         ///< join key (child's key)
-  std::vector<std::string> child_attrs; ///< attrs fetched from the child
-  std::vector<std::string> own_attrs;   ///< attrs taken from own repository
+  /// One supplying child and what is fetched from it.
+  struct Group {
+    std::string child;                     ///< child supplying the group
+    std::vector<std::string> key;          ///< join key (child's key)
+    std::vector<std::string> child_attrs;  ///< attrs fetched from the child
+    /// Per key attribute k, the placeholder conjunct for `k IN π_k own`
+    /// that Plan put in the child's request and in everything derived from
+    /// it, polls included (an empty IN, found by identity). Empty when
+    /// own_cond is True or the child's repository serves the group.
+    std::vector<Expr::Ptr> key_sets;
+  };
+  std::vector<Group> groups;           ///< one per supplying child
+  std::vector<std::string> own_attrs;  ///< attrs taken from own repository
+  /// c: the request's clauses on the node's materialized attrs (True when
+  /// none); selects the own part, and the key sets when not True.
+  Expr::Ptr own_cond;
+  /// σ_own_cond of the node's repository in the state the plan was bound
+  /// in; set by Vap::Bind when some group has key sets.
+  std::shared_ptr<const Relation> own;
 };
 
 /// Output of planning: what to build, in what order, and what to poll.
@@ -112,6 +135,9 @@ struct VapPlan {
   std::vector<LeafPoll> polls;
   /// Requests (by index into build_order) assembled key-based.
   std::map<size_t, KeyBasedChoice> key_based;
+  /// False while some key-based group's key sets are placeholders; Vap::
+  /// Bind reads them and sets it.
+  bool bound = true;
 
   /// True iff nothing needs doing.
   bool Empty() const { return build_order.empty(); }
@@ -141,10 +167,21 @@ class Vap {
       VapStrategy strategy = VapStrategy::kAuto)
       : vdp_(vdp), ann_(ann), store_(store), strategy_(strategy) {}
 
-  /// Phase 1: expands and merges \p input into a bottom-up plan.
+  /// Phase 1: expands and merges \p input into a bottom-up plan. Reads
+  /// only the requests and the annotation, never repository contents: key
+  /// sets stay placeholders (VapPlan::bound false).
   Result<VapPlan> Plan(const std::vector<TempRequest>& input) const;
 
-  /// Phase 2: executes a plan. With \p snap set, every repository read is
+  /// Reads \p plan's key sets from the repositories in \p snap when set,
+  /// else in the live store, and returns the plan with each placeholder
+  /// replaced and each key-based own part kept for assembly. Bind in the
+  /// state the execution will read: a transaction binds as it starts,
+  /// before it sends the polls. A key set holding NULL or a non-finite
+  /// double (no IN member can match it) leaves its child unrestricted.
+  Result<VapPlan> Bind(VapPlan plan, const StoreSnapshot* snap = nullptr) const;
+
+  /// Phase 2: executes a plan, binding it first (Bind, same \p snap) if it
+  /// still holds key sets. With \p snap set, every repository read is
   /// routed through that immutable snapshot instead of the live store
   /// (MVCC query path) — the live store may be mid-commit on another
   /// thread. Persistent repository indexes are bypassed in snapshot mode:
@@ -162,6 +199,12 @@ class Vap {
                                      const TempRequest& req) const;
   Result<std::vector<TempRequest>> DerivedFrom(const VdpNode& node,
                                                const TempRequest& req) const;
+  /// \p own joined with \p group's child on the child's key, with the
+  /// child attrs own lacks appended.
+  Result<Relation> JoinGroup(const Relation& own,
+                             const KeyBasedChoice::Group& group,
+                             const TempStore& temps,
+                             const StoreSnapshot* snap) const;
   Result<Relation> Assemble(const TempRequest& req, const TempStore& temps,
                             const KeyBasedChoice* key_based,
                             const StoreSnapshot* snap) const;
@@ -170,6 +213,10 @@ class Vap {
   Result<std::shared_ptr<const Relation>> ChildState(
       const std::string& child, const std::vector<std::string>& attrs,
       const TempStore& temps, const StoreSnapshot* snap) const;
+  /// σ_cond of \p node's repository (in \p snap when set), through a live
+  /// index when cond has a lookup clause on an indexed attribute.
+  Result<Relation> SelectRepo(const std::string& node, const Expr::Ptr& cond,
+                              const StoreSnapshot* snap) const;
   /// The repository of \p node in \p snap when set, else the live store.
   Result<const Relation*> RepoAt(const std::string& node,
                                  const StoreSnapshot* snap) const;

@@ -1,6 +1,7 @@
 #include "relational/index.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/strings.h"
 
@@ -22,6 +23,7 @@ Result<KeyIndex> KeyIndex::Build(const Relation& rel,
 
 void KeyIndex::Rebuild() {
   entries_ = {};
+  nan_keys_ = 0;
   entries_.reserve(rel_->DistinctSize());
   for (const Row& row : rel_->rows()) Add(&row);
 }
@@ -40,8 +42,16 @@ bool KeyIndex::KeyEquals(const Tuple& row, const Tuple& probe,
   return true;
 }
 
+bool KeyIndex::HasNan(const Tuple& row) const {
+  return std::any_of(positions_.begin(), positions_.end(), [&](size_t p) {
+    const Value& v = row.at(p);
+    return v.type() == ValueType::kDouble && std::isnan(v.AsDouble());
+  });
+}
+
 void KeyIndex::Add(const Row* row) {
   entries_.emplace(KeyHash(row->first, positions_), row);
+  if (HasNan(row->first)) ++nan_keys_;
 }
 
 void KeyIndex::Remove(const Row* row) {
@@ -49,9 +59,33 @@ void KeyIndex::Remove(const Row* row) {
   for (auto it = lo; it != hi; ++it) {
     if (it->second == row) {
       entries_.erase(it);
+      if (HasNan(row->first)) --nan_keys_;
       return;
     }
   }
+}
+
+Result<Relation> SelectByKeys(const KeyIndex& index,
+                              const std::vector<Value>& keys,
+                              const Expr::Ptr& cond,
+                              const std::vector<std::string>& attrs) {
+  const Schema& schema = index.relation().schema();
+  SQ_ASSIGN_OR_RETURN(BoundExpr bound, BoundExpr::Bind(cond, schema));
+  SQ_ASSIGN_OR_RETURN(Schema out_schema, schema.Project(attrs));
+  std::vector<size_t> positions;
+  positions.reserve(attrs.size());
+  for (const auto& a : attrs) positions.push_back(*schema.IndexOf(a));
+  Relation out(std::move(out_schema), Semantics::kBag);
+  const std::vector<size_t> key_pos = {0};
+  for (const Value& key : keys) {
+    SQ_RETURN_IF_ERROR(index.ForEachMatch(
+        Tuple({key}), key_pos, [&](const Tuple& row, int64_t count) -> Status {
+          SQ_ASSIGN_OR_RETURN(bool keep, bound.EvalBool(row));
+          if (!keep) return Status::OK();
+          return out.Insert(row.Project(positions), count);
+        }));
+  }
+  return out;
 }
 
 Status ApplyIndexed(Relation* rel, const Delta& delta,

@@ -27,6 +27,7 @@
 
 #include "common/status.h"
 #include "delta/delta.h"
+#include "relational/expr.h"
 #include "relational/relation.h"
 
 namespace squirrel {
@@ -56,6 +57,12 @@ class KeyIndex {
   const std::vector<std::string>& attrs() const { return attrs_; }
   /// Number of indexed rows (the relation's distinct size).
   size_t size() const { return entries_.size(); }
+  /// True iff some row's key holds a NaN. Value order makes NaN equal to
+  /// every number, but it hashes apart, so a probe for 5 misses a NaN row
+  /// that a selection `attr = 5` keeps. Only that inconsistency in
+  /// Value::Compare needs this count (ROADMAP "NaN equality"); a Compare
+  /// consistent with Hash deletes it and Vap::SelectRepo's scan fallback.
+  bool HasNanKey() const { return nan_keys_ > 0; }
 
   /// Calls fn(tuple, count) for every row whose indexed attributes equal
   /// the values of \p probe at \p key_pos (one position per attrs() entry,
@@ -88,6 +95,7 @@ class KeyIndex {
   static uint64_t KeyHash(const Tuple& t, const std::vector<size_t>& pos);
   bool KeyEquals(const Tuple& row, const Tuple& probe,
                  const std::vector<size_t>& key_pos) const;
+  bool HasNan(const Tuple& row) const;
   void Add(const Row* row);
   void Remove(const Row* row);
 
@@ -97,6 +105,8 @@ class KeyIndex {
   std::vector<size_t> positions_;
   /// Key hash -> row entry.
   std::unordered_multimap<uint64_t, const Row*> entries_;
+  /// Indexed rows whose key holds a NaN.
+  size_t nan_keys_ = 0;
 };
 
 /// Applies \p delta to \p rel exactly as ApplyDelta does and keeps every
@@ -107,6 +117,16 @@ class KeyIndex {
 /// from what the relation then holds and the failure is returned.
 Status ApplyIndexed(Relation* rel, const Delta& delta,
                     std::span<KeyIndex> indexes);
+
+/// π_attrs σ_cond of the relation \p index is built on, as a bag, read
+/// through the single-attribute \p index: only the rows whose indexed
+/// attribute equals a member of \p keys (distinct under Value equality) are
+/// evaluated against cond. Equal to the scan when cond can hold only on
+/// such rows, as under a conjunct `attr IN keys`.
+Result<Relation> SelectByKeys(const KeyIndex& index,
+                              const std::vector<Value>& keys,
+                              const Expr::Ptr& cond,
+                              const std::vector<std::string>& attrs);
 
 /// True iff \p a and \p b name the same attributes, in any order.
 bool SameAttrSet(const std::vector<std::string>& a,

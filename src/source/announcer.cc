@@ -1,9 +1,28 @@
 #include "source/announcer.h"
 
+#include <functional>
+#include <utility>
+
 #include "common/logging.h"
 #include "mediator/durability/serialize.h"
 
 namespace squirrel {
+
+namespace {
+
+/// Schedules \p fn on \p scheduler after \p delay, to do nothing if \p alive
+/// has expired by then: the scheduler outlives the mediator that owns the
+/// announcers and responders, and so the events they leave queued.
+void AfterWhileAlive(Scheduler* scheduler, Time delay,
+                     const std::shared_ptr<const bool>& alive,
+                     std::function<void()> fn) {
+  scheduler->After(delay, [alive = std::weak_ptr<const bool>(alive),
+                           fn = std::move(fn)]() {
+    if (!alive.expired()) fn();
+  });
+}
+
+}  // namespace
 
 Announcer::Announcer(SourceDb* db, Scheduler* scheduler,
                      Channel<SourceToMediatorMsg>* channel, Time period,
@@ -26,7 +45,7 @@ Announcer::~Announcer() {
 void Announcer::Start() {
   if (started_ || period_ <= 0) return;
   started_ = true;
-  scheduler_->After(period_, [this]() { Tick(); });
+  AfterWhileAlive(scheduler_, period_, alive_, [this]() { Tick(); });
 }
 
 void Announcer::OnCommit(Time now, const MultiDelta& delta) {
@@ -50,10 +69,11 @@ void Announcer::FlushNow() {
     // copy the ARQ layer delivers twice around the window.
     if (!crash_probe_pending_) {
       crash_probe_pending_ = true;
-      scheduler_->After(faults_->plan().crash_probe_period, [this]() {
-        crash_probe_pending_ = false;
-        FlushNow();
-      });
+      AfterWhileAlive(scheduler_, faults_->plan().crash_probe_period, alive_,
+                      [this]() {
+                        crash_probe_pending_ = false;
+                        FlushNow();
+                      });
     }
     return;
   }
@@ -90,7 +110,7 @@ void Announcer::OnRestart(Time now) {
 
 void Announcer::Tick() {
   FlushNow();
-  scheduler_->After(period_, [this]() { Tick(); });
+  AfterWhileAlive(scheduler_, period_, alive_, [this]() { Tick(); });
 }
 
 PollResponder::PollResponder(SourceDb* db, Scheduler* scheduler,
@@ -126,7 +146,8 @@ void PollResponder::OnRequest(PollRequest request) {
   }
   Time extra =
       faults_ != nullptr ? faults_->SlowPollExtra(scheduler_->Now()) : 0.0;
-  scheduler_->After(q_proc_delay_ + extra, [this, req = std::move(request)]() {
+  AfterWhileAlive(scheduler_, q_proc_delay_ + extra, alive_,
+                  [this, req = std::move(request)]() {
     if (faults_ != nullptr &&
         faults_->Crashed(db_->name(), scheduler_->Now())) {
       ++dropped_;  // crashed while processing: the answer never leaves
@@ -163,7 +184,8 @@ void PollResponder::OnSnapshotRequest(SnapshotRequest request) {
   }
   Time extra =
       faults_ != nullptr ? faults_->SlowPollExtra(scheduler_->Now()) : 0.0;
-  scheduler_->After(q_proc_delay_ + extra, [this, req = std::move(request)]() {
+  AfterWhileAlive(scheduler_, q_proc_delay_ + extra, alive_,
+                  [this, req = std::move(request)]() {
     if (faults_ != nullptr &&
         faults_->Crashed(db_->name(), scheduler_->Now())) {
       ++dropped_;  // crashed while processing: the answer never leaves

@@ -19,6 +19,7 @@
 #define SQUIRREL_SOURCE_ANNOUNCER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/status.h"
@@ -82,6 +83,8 @@ class Announcer {
   uint64_t restarts_ = 0;
   bool started_ = false;
   bool crash_probe_pending_ = false;
+  /// Expires with this announcer, turning its queued events into no-ops.
+  std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
 };
 
 /// \brief Answers PollRequests against a source's current state.
@@ -138,6 +141,8 @@ class PollResponder {
   uint64_t dropped_ = 0;
   uint64_t snapshots_answered_ = 0;
   uint64_t deadline_rejects_ = 0;
+  /// Expires with this responder, turning its queued answers into no-ops.
+  std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
 };
 
 /// Schedules SourceDb::Restart(end) for every restart window the fault plan

@@ -131,26 +131,10 @@ Result<Relation> SourceDb::Query(const std::string& rel_name,
     SQ_ASSIGN_OR_RETURN(Relation selected, OpSelect(*rel, cond));
     return OpProject(selected, attrs, Semantics::kBag);
   }
-  SQ_ASSIGN_OR_RETURN(BoundExpr bound, BoundExpr::Bind(cond, schema));
-  SQ_ASSIGN_OR_RETURN(Schema out_schema, schema.Project(attrs));
-  std::vector<size_t> positions;
-  positions.reserve(attrs.size());
-  for (const auto& a : attrs) positions.push_back(*schema.IndexOf(a));
-  const KeyIndex& index = IndexFor(rel_name, *rel, in->attr_name());
-  Relation out(std::move(out_schema), Semantics::kBag);
   // The members are distinct under Value equality (InList), so every
   // candidate row is visited once.
-  const std::vector<size_t> key_pos = {0};
-  for (const Value& member : in->in_list()->values()) {
-    SQ_RETURN_IF_ERROR(index.ForEachMatch(
-        Tuple({member}), key_pos,
-        [&](const Tuple& row, int64_t count) -> Status {
-          SQ_ASSIGN_OR_RETURN(bool keep, bound.EvalBool(row));
-          if (!keep) return Status::OK();
-          return out.Insert(row.Project(positions), count);
-        }));
-  }
-  return out;
+  return SelectByKeys(IndexFor(rel_name, *rel, in->attr_name()),
+                      in->in_list()->values(), cond, attrs);
 }
 
 const KeyIndex& SourceDb::IndexFor(const std::string& rel_name,

@@ -255,6 +255,23 @@ bool NamesCover(const std::vector<std::string>& haystack,
 
 }  // namespace
 
+const ChildTerm* KeyBasedSupplier(const Vdp& vdp, const VdpNode& node,
+                                  const std::vector<std::string>& mat,
+                                  const std::string& attr) {
+  if (!node.def || node.def->kind() != NodeDef::Kind::kSpj) return nullptr;
+  for (const ChildTerm& term : node.def->terms()) {
+    if (!NamesCover(term.project, {attr})) continue;
+    const VdpNode* child = vdp.Find(term.child);
+    if (child == nullptr) continue;
+    const std::vector<std::string>& key = child->schema.key();
+    if (!key.empty() && NamesCover(term.project, key) &&
+        NamesCover(mat, key)) {
+      return &term;
+    }
+  }
+  return nullptr;
+}
+
 IndexSpecs AdviseIndexes(const Vdp& vdp, const Annotation& ann) {
   IndexSpecs specs;
   auto add = [&](const std::string& node, std::vector<std::string> attrs) {
@@ -295,32 +312,31 @@ IndexSpecs AdviseIndexes(const Vdp& vdp, const Annotation& ann) {
       prefix_attrs.insert(prefix_attrs.end(), term.project.begin(),
                           term.project.end());
     }
-    // The VAP's key-based construction probes a materialized child by the
-    // child's key to fetch a hybrid parent's virtual attributes. Vap::
-    // TryKeyBased chooses it only for a parent with a repository and at
-    // least one virtual attribute, and only for a term that projects the
-    // key and some virtual attribute, with the key materialized in the
-    // parent.
+    // The VAP's key-based construction fetches each virtual attribute of a
+    // hybrid parent from the child KeyBasedSupplier names, probing it by the
+    // child's key. Vap::Assemble probes the child's repository only when
+    // that covers the key and the fetched attribute. The parent's own part
+    // is selected first, through an index when the request has an equality
+    // or IN on an indexed attribute. Only the first supplier's first key
+    // attribute (schema order) is indexed: Figure 1's point queries select T
+    // by it (r1), and each further index costs every update and recovery
+    // with no query known to probe it.
     const std::vector<std::string> mat = ann.MaterializedAttrs(vdp, name);
-    if (mat.empty() || mat.size() == node->schema.size()) continue;
-    for (const ChildTerm& term : def.terms()) {
-      const VdpNode* child_node = vdp.Find(term.child);
-      if (!child_node) continue;
-      const std::vector<std::string>& key = child_node->schema.key();
-      const bool supplies_virtual = std::any_of(
-          term.project.begin(), term.project.end(),
-          [&](const std::string& a) {
-            return node->schema.Contains(a) && !NamesCover(mat, {a});
-          });
-      if (key.empty() || !supplies_virtual ||
-          !NamesCover(term.project, key) || !NamesCover(mat, key)) {
-        continue;
+    if (mat.empty()) continue;
+    bool own_indexed = false;
+    for (const std::string& attr : node->schema.AttributeNames()) {
+      if (NamesCover(mat, {attr})) continue;
+      const ChildTerm* term = KeyBasedSupplier(vdp, *node, mat, attr);
+      if (term == nullptr) continue;
+      const std::vector<std::string>& key =
+          vdp.Find(term->child)->schema.key();
+      std::vector<std::string> probed = key;
+      probed.push_back(attr);
+      if (NamesCover(ann.MaterializedAttrs(vdp, term->child), probed)) {
+        add(term->child, key);
       }
-      std::vector<std::string> repo_attrs =
-          ann.MaterializedAttrs(vdp, term.child);
-      if (!repo_attrs.empty() && NamesCover(repo_attrs, key)) {
-        add(term.child, key);
-      }
+      if (!own_indexed) add(name, {key.front()});
+      own_indexed = true;
     }
   }
   return specs;

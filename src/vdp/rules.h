@@ -66,6 +66,15 @@ Result<Delta> FireEdgeRules(const VdpNode& parent, const std::string& child,
                             const NodeStateFn& states,
                             const IndexProbeFn& probes);
 
+/// The term of the SPJ node \p node whose child supplies \p attr, one of
+/// node's unmaterialized attributes, to the VAP's key-based construction
+/// (paper Example 2.3): the first term that projects attr and its child's
+/// whole key, with that key among node's materialized attributes \p mat.
+/// Null when no term qualifies.
+const ChildTerm* KeyBasedSupplier(const Vdp& vdp, const VdpNode& node,
+                                  const std::vector<std::string>& mat,
+                                  const std::string& attr);
+
 /// Index specs by node: the attribute lists to keep a repository indexed on.
 using IndexSpecs = std::map<std::string, std::vector<std::vector<std::string>>>;
 
@@ -74,8 +83,10 @@ using IndexSpecs = std::map<std::string, std::vector<std::vector<std::string>>>;
 /// annotation, each attribute set once. A rule's sibling probe counts only
 /// when the sibling's repository covers the term's needed attrs (others are
 /// served from VAP temps, which are transient); a key-based probe counts
-/// only where Vap::TryKeyBased can choose it. Run once per VDP at build
-/// time.
+/// for the child KeyBasedSupplier names for each virtual attribute, when
+/// that child's repository covers its key and the attribute, and for the
+/// node itself on the first attribute of the first such child's key in
+/// schema order (its own part's lookup). Run once per VDP at build time.
 IndexSpecs AdviseIndexes(const Vdp& vdp, const Annotation& ann);
 
 }  // namespace squirrel

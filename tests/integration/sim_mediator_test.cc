@@ -328,6 +328,76 @@ TEST_F(SimFigure1, SourcesOutliveADestroyedMediator) {
   EXPECT_EQ(db2_->CommitCount(), 3u);
 }
 
+// The announcers and poll responders leave events on the scheduler, which
+// outlives the mediator that owns them: periodic announcement ticks and
+// delayed poll answers. Destroyed mid-poll, the mediator's queued events
+// must find nothing to call.
+TEST_F(SimFigure1, ScheduledSourceEventsOutliveADestroyedMediator) {
+  auto vdp = BuildFigure1Vdp();
+  ASSERT_TRUE(vdp.ok());
+  MakeMediator(AnnotationExample23(*vdp), MediatorOptions{}, /*comm1=*/1.0,
+               /*comm2=*/1.0, /*ann1=*/2.0, /*ann2=*/2.0);
+  bool answered = false;
+  scheduler_.At(1.0, [&]() {
+    mediator_->SubmitQuery(ViewQuery{"T", {"r1", "r3", "s2"}, nullptr},
+                           [&](Result<ViewAnswer>) { answered = true; });
+  });
+  CommitR(1.5, Tuple({2, 200, 22, 100}));
+  // The poll requests reach both sources at t = 2; their answers are due at
+  // t = 2.5, and each announcer ticks every 2 vt.
+  scheduler_.RunUntil(2.2);
+  mediator_.reset();
+  scheduler_.RunUntil(10.0);
+  EXPECT_FALSE(answered);
+  SQ_EXPECT_OK(db1_->InsertTuple(10.0, "R", Tuple({3, 100, 33, 100})));
+  EXPECT_EQ(db1_->CommitCount(), 3u);
+}
+
+/// Commits \p update on R at t = 1 to Example 2.3, whose update
+/// transaction polls S' and holds the transaction slot from t = 2 to 4.5,
+/// and asks π_{r1,r3,s2}σ_{r1=k}T at t = 2.5. The query waits behind the
+/// update, and its key sets must come from T as the update left it.
+class KeyBoundQueryBehindUpdate : public SimFigure1 {
+ protected:
+  std::vector<ViewAnswer> Run(const Tuple& update, bool del, int64_t k) {
+    auto vdp = BuildFigure1Vdp();
+    EXPECT_TRUE(vdp.ok());
+    MakeMediator(AnnotationExample23(*vdp), MediatorOptions{});
+    CommitR(1.0, update, del);
+    QueryAt(2.5, ViewQuery{"T",
+                           {"r1", "r3", "s2"},
+                           Expr::Eq(Expr::Attr("r1"), Expr::Const(Value(k)))});
+    scheduler_.RunUntil(100.0);
+    EXPECT_EQ(answers_.size(), 1u);
+    // The update committed first; the query polled both sources.
+    const auto& entries = mediator_->trace().entries();
+    EXPECT_GE(entries.size(), 2u);
+    if (entries.size() >= 2u) {
+      EXPECT_EQ(entries[entries.size() - 2].kind, TxnKind::kUpdate);
+      EXPECT_EQ(entries.back().kind, TxnKind::kQuery);
+      EXPECT_EQ(entries.back().polls, 2u);
+    }
+    ConsistencyReport report = CheckConsistency();
+    EXPECT_TRUE(report.consistent())
+        << (report.violations.empty() ? "" : report.violations[0]);
+    return answers_;
+  }
+};
+
+TEST_F(KeyBoundQueryBehindUpdate, SeesTheRowTheUpdateInserts) {
+  std::vector<ViewAnswer> answers =
+      Run(Tuple({2, 200, 22, 100}), /*del=*/false, 2);
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(Rows(answers[0].data), "(2, 22, 6) ");
+}
+
+TEST_F(KeyBoundQueryBehindUpdate, MissesTheRowTheUpdateDeletes) {
+  std::vector<ViewAnswer> answers =
+      Run(Tuple({1, 100, 11, 100}), /*del=*/true, 1);
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(Rows(answers[0].data), "");
+}
+
 /// Submits \p q at t = 1 to a fresh Example 2.1 mediator over Figure 1's
 /// sources and returns the status the query resolves with.
 Status StatusOfQuery(const ViewQuery& q, bool mvcc_reads) {

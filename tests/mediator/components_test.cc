@@ -103,14 +103,18 @@ TEST_F(LocalStoreTest, AdvisesAndMaintainsJoinIndexes) {
   EXPECT_EQ(s_idx->size(), 0u);
 
   // A hybrid T[r1 m, r3 v, s1 m, s2 m] whose materialized R' supplies the
-  // virtual r3 by R's key r1 (materialized in T) adds R'(r1). S' could
-  // supply nothing virtual by its key s1, which the join index covers.
+  // virtual r3 by R's key r1 (materialized in T) adds R'(r1), and T(r1) for
+  // selecting T's own part by that key. S' could supply nothing virtual by
+  // its key s1, which the join index covers.
   Annotation hybrid;
   SQ_ASSERT_OK(hybrid.SetFromSpec(vdp_, "T", "r1 m, r3 v, s1 m, s2 m"));
   EXPECT_EQ(AdviseIndexes(vdp_, hybrid),
-            (IndexSpecs{{"R'", {{"r2"}, {"r1"}}}, {"S'", {{"s1"}}}}));
+            (IndexSpecs{{"R'", {{"r2"}, {"r1"}}},
+                        {"S'", {{"s1"}}},
+                        {"T", {{"r1"}}}}));
   LocalStore hybrid_store(&vdp_, &hybrid);
   EXPECT_NE(hybrid_store.Index("R'", {"r1"}), nullptr);
+  EXPECT_NE(hybrid_store.Index("T", {"r1"}), nullptr);
 }
 
 TEST_F(LocalStoreTest, SetRepoValidatesSchema) {

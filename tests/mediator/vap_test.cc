@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "mediator/query_processor.h"
 #include "relational/operators.h"
 #include "source/source_db.h"
 #include "testing/harness.h"
 #include "testing/util.h"
+#include "vdp/builder.h"
 #include "vdp/paper_examples.h"
 
 namespace squirrel {
@@ -176,6 +179,232 @@ TEST_F(VapFixture, AutoPrefersKeyBasedWhenSiblingVirtual) {
   SQ_ASSERT_OK_AND_ASSIGN(VapPlan plan, h->vap().Plan({req}));
   // Auto should avoid polling DB2 (S' virtual) by going key-based.
   EXPECT_EQ(plan.PolledSources(), std::vector<std::string>{"DB1"});
+}
+
+/// Answers \p q on Example 2.3 with \p h's strategy, polling the sources
+/// and rolling back \p pending (announced, unreflected) through Eager
+/// Compensation.
+QueryProcessor::LocalAnswer AnswerEx23(DirectHarness* h, const ViewQuery& q,
+                                       const MultiDelta& pending) {
+  Vap::CompensationFn comp = [&](const std::string& source,
+                                 const std::string& relation,
+                                 const Schema& schema) -> Result<Delta> {
+    Delta out(schema);
+    (void)source;
+    if (const Delta* d = pending.Find(relation)) {
+      SQ_RETURN_IF_ERROR(out.SmashInPlace(*d));
+    }
+    return out;
+  };
+  auto pq = h->qp().Prepare(q);
+  EXPECT_TRUE(pq.ok()) << pq.status().ToString();
+  auto ans = h->qp().Answer(*pq, h->DirectPoll(), comp);
+  EXPECT_TRUE(ans.ok()) << ans.status().ToString();
+  return ans.ok() ? *std::move(ans) : QueryProcessor::LocalAnswer();
+}
+
+/// Checks that key-bound (kAuto) and child-based constructions answer every
+/// query of \p conds on {r1, r3, s2} alike, with \p pending unreflected,
+/// and that the key-bound one polls no more rows.
+void ExpectKeyBoundMatchesChildBased(DirectHarness* child, DirectHarness* key,
+                                     const std::vector<std::string>& conds,
+                                     const MultiDelta& pending) {
+  for (const auto& cond : conds) {
+    SCOPED_TRACE(cond);
+    ViewQuery q{"T", {"r1", "r3", "s2"}, Pred(cond)};
+    SQ_ASSERT_OK_AND_ASSIGN(PreparedQuery pq, key->qp().Prepare(q));
+    SQ_ASSERT_OK_AND_ASSIGN(auto plan, key->qp().PlanFor(pq));
+    ASSERT_TRUE(plan.has_value());
+    ASSERT_EQ(plan->key_based.size(), 1u);
+    EXPECT_EQ(plan->key_based.begin()->second.groups.size(), 2u);
+    const uint64_t child_polls = child->polls(), key_polls = key->polls();
+    QueryProcessor::LocalAnswer want = AnswerEx23(child, q, pending);
+    QueryProcessor::LocalAnswer got = AnswerEx23(key, q, pending);
+    EXPECT_TRUE(got.data.EqualContents(want.data))
+        << got.data.ToString("key-bound")
+        << want.data.ToString("child-based");
+    EXPECT_EQ(child->polls() - child_polls, 2u);
+    EXPECT_EQ(key->polls() - key_polls, 2u);
+    EXPECT_LE(got.polled_tuples, want.polled_tuples);
+  }
+}
+
+// Example 2.3's key-bound construction π_{r1,s1}σ_c T ⋈_{r1} R' ⋈_{s1} S'
+// must answer exactly like the child-based one while updates are pending
+// at both sources: inside the key set (rolled back by Eager Compensation)
+// and outside it (neither in the restricted answer nor compensated).
+TEST_F(VapFixture, KeyBoundMatchesChildBasedWithPendingUpdates) {
+  SQ_ASSERT_OK(db1_->InsertTuple(0, "R", Tuple({3, 100, 33, 100})));
+  SQ_ASSERT_OK(db1_->InsertTuple(0, "R", Tuple({4, 300, 44, 100})));
+  SQ_ASSERT_OK(db2_->InsertTuple(0, "S", Tuple({300, 7, 30})));
+  auto vdp = BuildFigure1Vdp();
+  ASSERT_TRUE(vdp.ok());
+  auto child = MakeHarness(AnnotationExample23(*vdp), VapStrategy::kChildBased);
+  auto key = MakeHarness(AnnotationExample23(*vdp), VapStrategy::kAuto);
+  // Committed at the sources, not yet reflected in T.
+  MultiDelta r_pending, s_pending;
+  Delta* r = r_pending.Mutable("R", MakeSchema("R(r1, r2, r3, r4)"));
+  SQ_ASSERT_OK(r->AddDelete(Tuple({2, 200, 150, 100})));  // inside: r3 moves
+  SQ_ASSERT_OK(r->AddInsert(Tuple({2, 200, 151, 100})));
+  SQ_ASSERT_OK(r->AddDelete(Tuple({1, 100, 11, 100})));  // inside
+  SQ_ASSERT_OK(r->AddDelete(Tuple({4, 300, 44, 100})));  // outside
+  SQ_ASSERT_OK(r->AddInsert(Tuple({5, 100, 55, 100})));  // outside
+  Delta* s = s_pending.Mutable("S", MakeSchema("S(s1, s2, s3)"));
+  SQ_ASSERT_OK(s->AddDelete(Tuple({100, 5, 10})));  // inside: s2 moves
+  SQ_ASSERT_OK(s->AddInsert(Tuple({100, 9, 10})));
+  SQ_ASSERT_OK(s->AddDelete(Tuple({200, 6, 20})));  // inside
+  SQ_ASSERT_OK(s->AddDelete(Tuple({300, 7, 30})));  // outside
+  SQ_ASSERT_OK(s->AddInsert(Tuple({400, 8, 40})));  // outside
+  SQ_ASSERT_OK(db1_->Commit(1, r_pending));
+  SQ_ASSERT_OK(db2_->Commit(1, s_pending));
+  MultiDelta pending = r_pending;
+  SQ_ASSERT_OK(pending.SmashInPlace(s_pending));
+  ExpectKeyBoundMatchesChildBased(
+      child.get(), key.get(), {"r1 = 1", "r1 = 2", "r1 <= 2", "r1 >= 2"},
+      pending);
+  // The reflected answer, row by row.
+  QueryProcessor::LocalAnswer reflected = AnswerEx23(
+      key.get(), ViewQuery{"T", {"r1", "r3", "s2"}, Pred("r1 <= 2")}, pending);
+  EXPECT_EQ(Rows(reflected.data), "(1, 11, 5) (2, 150, 6) ");
+}
+
+// The same agreement with NULL and NaN keys and bag duplicates in T's own
+// part, and with a selection that leaves the key set empty.
+TEST_F(VapFixture, KeyBoundMatchesChildBasedOnNullNanDuplicateAndEmptyKeys) {
+  SQ_ASSERT_OK(db1_->InsertTuple(0, "R", Tuple({Value(), 100, 70, 100})));
+  SQ_ASSERT_OK(
+      db1_->InsertTuple(0, "R", Tuple({std::nan(""), 200, 80, 100})));
+  // Two R rows sharing r1 (sources are sets) give T's own part the row
+  // (6, 100) twice.
+  SQ_ASSERT_OK(db1_->InsertTuple(0, "R", Tuple({6, 100, 66, 100})));
+  SQ_ASSERT_OK(db1_->InsertTuple(0, "R", Tuple({6, 100, 67, 100})));
+  auto vdp = BuildFigure1Vdp();
+  ASSERT_TRUE(vdp.ok());
+  auto child = MakeHarness(AnnotationExample23(*vdp), VapStrategy::kChildBased);
+  auto key = MakeHarness(AnnotationExample23(*vdp), VapStrategy::kAuto);
+  SQ_ASSERT_OK_AND_ASSIGN(const Relation* t, key->store().Repo("T"));
+  EXPECT_EQ(t->CountOf(Tuple({6, 100})), 2);
+  ExpectKeyBoundMatchesChildBased(
+      child.get(), key.get(),
+      {"r1 = 6", "r1 >= 2", "r1 <= 6", "s1 = 100", "r1 = 999", "s1 = 999"},
+      MultiDelta());
+  // Value order makes NaN equal to every number, so σ_{r1=999} keeps the
+  // NaN row; σ_{s1=999} selects nothing and polls with empty key sets.
+  QueryProcessor::LocalAnswer nan_row = AnswerEx23(
+      key.get(), ViewQuery{"T", {"r1", "r3"}, Pred("r1 = 999")}, MultiDelta());
+  EXPECT_EQ(Rows(nan_row.data), "(nan, 80) ");
+  QueryProcessor::LocalAnswer none = AnswerEx23(
+      key.get(), ViewQuery{"T", {"r1", "r3"}, Pred("s1 = 999")}, MultiDelta());
+  EXPECT_EQ(Rows(none.data), "");
+  EXPECT_EQ(none.polled_tuples, 0u);
+}
+
+// Example 2.3's point query π_{r1,r3,s2}σ_{r1=k}T goes key-based with one
+// child per virtual attribute: it polls DB1 for r3 and DB2 for s2, each
+// restricted to the keys of the selected T rows once the plan is bound.
+TEST_F(VapFixture, KeyBoundPointQueryPollsEachChildByKey) {
+  auto vdp = BuildFigure1Vdp();
+  ASSERT_TRUE(vdp.ok());
+  auto h = MakeHarness(AnnotationExample23(*vdp), VapStrategy::kAuto);
+  SQ_ASSERT_OK_AND_ASSIGN(
+      PreparedQuery pq,
+      h->qp().Prepare(ViewQuery{"T", {"r1", "r3", "s2"}, Pred("r1 = 2")}));
+  SQ_ASSERT_OK_AND_ASSIGN(auto plan, h->qp().PlanFor(pq));
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->PolledSources(), (std::vector<std::string>{"DB1", "DB2"}));
+  EXPECT_FALSE(plan->bound);
+  ASSERT_EQ(plan->key_based.size(), 1u);
+  for (const auto& group : plan->key_based.begin()->second.groups) {
+    EXPECT_EQ(group.key_sets.size(), 1u) << group.child;
+  }
+  SQ_ASSERT_OK_AND_ASSIGN(VapPlan bound, h->vap().Bind(*plan));
+  EXPECT_TRUE(bound.bound);
+  ASSERT_EQ(bound.polls.size(), 2u);
+  for (const auto& poll : bound.polls) {
+    const std::string cond = poll.spec.cond->ToString();
+    if (poll.source == "DB1") {
+      EXPECT_NE(cond.find("(r1 IN (2))"), std::string::npos) << cond;
+    } else {
+      EXPECT_NE(cond.find("(s1 IN (200))"), std::string::npos) << cond;
+    }
+  }
+  // Execute binds an unbound plan itself, in the state it reads.
+  SQ_ASSERT_OK_AND_ASSIGN(TempStore temps,
+                          h->vap().Execute(*plan, h->DirectPoll(), nullptr));
+  EXPECT_EQ(temps.polled_tuples, 2u);
+  SQ_ASSERT_OK_AND_ASSIGN(auto ans, h->qp().AnswerWithTemps(pq, temps));
+  EXPECT_EQ(Rows(ans.data), "(2, 150, 6) ");
+  // Without a selection on T's materialized part, a key set would be every
+  // key of T: the plan stays child-based, as it has no fewer temps.
+  SQ_ASSERT_OK_AND_ASSIGN(
+      PreparedQuery scan,
+      h->qp().Prepare(ViewQuery{"T", {"r1", "r3", "s2"}, Pred("r3 < 50")}));
+  SQ_ASSERT_OK_AND_ASSIGN(auto scan_plan, h->qp().PlanFor(scan));
+  ASSERT_TRUE(scan_plan.has_value());
+  EXPECT_TRUE(scan_plan->key_based.empty());
+  EXPECT_TRUE(scan_plan->bound);
+}
+
+// One key-based choice under another: a hybrid X = T ⋈_{r1=u1} U' over
+// Example 2.3's T fetches r3 from T by T's key (r1, s1), so T's request
+// carries X's key-set placeholders, and T, itself key-based, selects its
+// own part by them. Binding parents first gives the child-based answers.
+TEST_F(VapFixture, KeyBoundNestedChoicesMatchChildBased) {
+  SourceDb db3("DB3");
+  SQ_ASSERT_OK(db3.AddRelation("U", MakeSchema("U(u1, u2) key(u1)")));
+  SQ_ASSERT_OK(db3.InsertTuple(0, "U", Tuple({1, 41})));
+  SQ_ASSERT_OK(db3.InsertTuple(0, "U", Tuple({2, 42})));
+  SQ_ASSERT_OK(db3.InsertTuple(0, "U", Tuple({3, 43})));
+  auto make = [&](VapStrategy strategy) {
+    VdpBuilder b;
+    b.Leaf("R", "DB1", "R", "R(r1, r2, r3, r4) key(r1)");
+    b.Leaf("S", "DB2", "S", "S(s1, s2, s3) key(s1)");
+    b.Leaf("U", "DB3", "U", "U(u1, u2) key(u1)");
+    b.LeafParent("R'", "R", {"r1", "r2", "r3"}, "r4 = 100");
+    b.LeafParent("S'", "S", {"s1", "s2"}, "s3 < 50");
+    b.LeafParent("U'", "U", {"u1", "u2"});
+    b.Spj("T", {{"R'", {"r1", "r2", "r3"}, ""}, {"S'", {"s1", "s2"}, ""}},
+          {"r2 = s1"}, {"r1", "r3", "s1", "s2"}, "", /*exported=*/true);
+    b.Spj("X", {{"T", {"r1", "r3", "s1"}, ""}, {"U'", {"u1", "u2"}, ""}},
+          {"r1 = u1"}, {"r1", "r3", "s1", "u1", "u2"}, "", /*exported=*/true);
+    auto vdp = b.Build();
+    EXPECT_TRUE(vdp.ok()) << vdp.status().ToString();
+    Annotation ann = AnnotationExample23(*vdp);
+    SQ_EXPECT_OK(ann.SetAll(*vdp, "U'", AttrMode::kVirtual));
+    SQ_EXPECT_OK(ann.SetFromSpec(*vdp, "X", "r1 m, r3 v, s1 m, u1 m, u2 v"));
+    auto h = std::make_unique<DirectHarness>(
+        std::move(vdp).value(), ann,
+        std::map<std::string, SourceDb*>{
+            {"DB1", db1_.get()}, {"DB2", db2_.get()}, {"DB3", &db3}},
+        strategy);
+    SQ_EXPECT_OK(h->Load());
+    return h;
+  };
+  auto child = make(VapStrategy::kChildBased);
+  auto key = make(VapStrategy::kAuto);
+  for (const std::string cond : {"r1 = 2", "r1 <= 2", "s1 = 100", "u1 = 1",
+                                 "u1 = 3"}) {
+    SCOPED_TRACE(cond);
+    ViewQuery q{"X", {"r1", "r3", "u2"}, Pred(cond)};
+    SQ_ASSERT_OK_AND_ASSIGN(PreparedQuery pq, key->qp().Prepare(q));
+    SQ_ASSERT_OK_AND_ASSIGN(auto plan, key->qp().PlanFor(pq));
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_EQ(plan->key_based.size(), 2u);  // X and T
+    EXPECT_FALSE(plan->bound);
+    SQ_ASSERT_OK_AND_ASSIGN(auto want,
+                            child->qp().Answer(pq, child->DirectPoll(), nullptr));
+    SQ_ASSERT_OK_AND_ASSIGN(auto got,
+                            key->qp().Answer(pq, key->DirectPoll(), nullptr));
+    EXPECT_TRUE(got.data.EqualContents(want.data))
+        << got.data.ToString("key-bound") << want.data.ToString("child-based");
+    EXPECT_LE(got.polled_tuples, want.polled_tuples);
+  }
+  SQ_ASSERT_OK_AND_ASSIGN(
+      PreparedQuery point,
+      key->qp().Prepare(ViewQuery{"X", {"r1", "r3", "u2"}, Pred("r1 = 2")}));
+  SQ_ASSERT_OK_AND_ASSIGN(auto ans,
+                          key->qp().Answer(point, key->DirectPoll(), nullptr));
+  EXPECT_EQ(Rows(ans.data), "(2, 150, 42) ");
 }
 
 TEST_F(VapFixture, MergingUnionsAttrsAndOrsConds) {

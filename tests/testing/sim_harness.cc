@@ -324,6 +324,26 @@ Result<Scenario> BuildScenario(uint64_t seed, const FaultSimOptions& opts) {
     op.tuple = tup;
     sc.ops.push_back(std::move(op));
   };
+  // T queries select by r1 on a DEDICATED rng stream: every draw of the
+  // schedule stream stays where it was, so each seed's updates are
+  // byte-identical with or without these shapes. A selection on T's
+  // materialized key is what binds key sets into the polls of a hybrid T.
+  Rng shape_rng(seed * 0x9E3779B97F4A7C15ULL + 31337);
+  auto key_shape = [&shape_rng]() -> Expr::Ptr {
+    auto r1 = Expr::Attr("r1");
+    switch (shape_rng.Uniform(3)) {
+      case 1:  // point: r1 = k
+        return Expr::Eq(r1, Expr::Const(Value(shape_rng.UniformInt(0, 40))));
+      case 2: {  // range: lo <= r1 < hi
+        int64_t lo = shape_rng.UniformInt(0, 40);
+        int64_t hi = lo + shape_rng.UniformInt(1, 10);
+        return Expr::And(Expr::Ge(r1, Expr::Const(Value(lo))),
+                         Expr::Lt(r1, Expr::Const(Value(hi))));
+      }
+      default:
+        return nullptr;
+    }
+  };
   for (Time when : event_times) {
     double dice = rng.UniformDouble();
     if (dice < 0.30) {
@@ -388,6 +408,9 @@ Result<Scenario> BuildScenario(uint64_t seed, const FaultSimOptions& opts) {
           if (rng.Bernoulli(0.5)) {
             SQ_ASSIGN_OR_RETURN(op.query.cond, ParsePredicate("r3 < 50"));
           }
+        }
+        if (Expr::Ptr shape = key_shape()) {
+          op.query.cond = Expr::And(op.query.cond, shape);
         }
       }
       sc.ops.push_back(std::move(op));

@@ -8,6 +8,7 @@
 #include "relational/operators.h"
 #include "testing/util.h"
 #include "vdp/builder.h"
+#include "vdp/paper_examples.h"
 
 namespace squirrel {
 namespace {
@@ -373,6 +374,44 @@ TEST(UnionRulesTest, UnionAddsAndCancels) {
   SQ_ASSERT_OK_AND_ASSIGN(Delta du2,
                           FireEdgeRules(*u2, "L'", big, StatesOf(states)));
   EXPECT_TRUE(du2.Empty());  // x=9 fails the L' term's filter
+}
+
+// The index advisor follows the VAP's key-based choice: Example 2.3's
+// T[r1 m, r3 v, s1 m, s2 v] fetches r3 from R' by r1 and s2 from S' by s1.
+// Each child gets its key index where its repository can serve the probe,
+// and T gets one on the first supplier's key, r1, for selecting its own
+// part by it; no index on s1, which no query selects T by.
+TEST(AdviseIndexesTest, KeysEachChildOfTheKeyBasedChoice) {
+  auto vdp = BuildFigure1Vdp();
+  ASSERT_TRUE(vdp.ok()) << vdp.status().ToString();
+  ASSERT_EQ(KeyBasedSupplier(*vdp, *vdp->Find("T"), {"r1", "s1"}, "r3"),
+            &vdp->Find("T")->def->terms()[0]);
+  ASSERT_EQ(KeyBasedSupplier(*vdp, *vdp->Find("T"), {"r1", "s1"}, "s2"),
+            &vdp->Find("T")->def->terms()[1]);
+  // No supplier without the child's key materialized in T.
+  EXPECT_EQ(KeyBasedSupplier(*vdp, *vdp->Find("T"), {"s1"}, "r3"), nullptr);
+
+  // R' and S' materialized: both children are probed by their keys (S's
+  // key s1 is also its join index).
+  Annotation hybrid;
+  SQ_ASSERT_OK(hybrid.SetFromSpec(*vdp, "T", "r1 m, r3 v, s1 m, s2 v"));
+  EXPECT_EQ(AdviseIndexes(*vdp, hybrid),
+            (IndexSpecs{{"R'", {{"r2"}, {"r1"}}},
+                        {"S'", {{"s1"}}},
+                        {"T", {{"r1"}}}}));
+
+  // Example 2.3 itself: R' and S' virtual, so only T's own part is indexed;
+  // the children are polled, not probed.
+  EXPECT_EQ(AdviseIndexes(*vdp, AnnotationExample23(*vdp)),
+            (IndexSpecs{{"T", {{"r1"}}}}));
+
+  // S' hybrid with s2 virtual: its repository cannot serve s2, so no S'
+  // key probe is advised beyond the join index its repository serves.
+  Annotation s_hybrid = hybrid;
+  SQ_ASSERT_OK(s_hybrid.SetFromSpec(*vdp, "S'", "s1 m, s2 v"));
+  EXPECT_EQ(AdviseIndexes(*vdp, s_hybrid),
+            (IndexSpecs{{"R'", {{"r2"}, {"r1"}}},
+                        {"T", {{"r1"}}}}));
 }
 
 }  // namespace

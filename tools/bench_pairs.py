@@ -3,7 +3,7 @@
 
 Run from anywhere inside the repository:
 
-    python3 tools/bench_pairs.py --base HEAD --pairs 6 --seconds 20
+    python3 tools/bench_pairs.py --base HEAD --pairs 10 --seconds 20
 
 The base ref is exported with `git archive` into a directory outside the
 repository. Each pair runs
@@ -16,12 +16,22 @@ both sides and alternating which side runs first. Pair i uses seed
 
 For every workload and every end-to-end metric in BENCHMARK.json the script
 prints the base and change medians with their quartiles, the change/base
-ratio of the medians, and how many pairs the change won by the metric's
-`better` direction. It flags a change median worse than the metric's bound,
-and a metric with a bound of 0.05 or less whose values differ between the
-trees for some seed (those metrics count work, so equal seeds should give
-equal values). It exits non-zero when a run fails or reports
-"correct": false.
+ratio of the medians, how many pairs the change won by the metric's
+`better` direction, and a verdict, the first of these that applies:
+
+  gain        the change wins at least 9 in 10 of the pairs, and the
+              medians differ by more than the base's interquartile range;
+  worse       the change median is worse than the base median by more
+              than the metric's bound;
+  unresolved  the base's interquartile range exceeds the bound (as a
+              fraction of the base median), and not every change run beats
+              every base run: the runs spread too widely to tell;
+  held        anything else.
+
+It flags every `worse` and `unresolved` verdict, and a metric with a bound
+of 0.05 or less whose values differ between the trees for some seed (those
+metrics count work, so equal seeds should give equal values). It exits
+non-zero when a run fails or reports "correct": false.
 """
 
 import argparse
@@ -74,13 +84,30 @@ def fmt(v):
     return "%.6g" % v
 
 
+def verdict(base, change, wins, better, bound):
+    """The verdict on one metric's paired base and change values, of which
+    the change won `wins` pairs."""
+    bq1, bmed, bq3 = quartiles(base)
+    _, cmed, _ = quartiles(change)
+    sign = 1 if better == "lower" else -1  # > 0: the change is better
+    if wins * 10 >= 9 * len(base) and sign * (bmed - cmed) > bq3 - bq1:
+        return "gain"
+    if sign * (bmed - cmed) < -bound * abs(bmed):
+        return "worse"
+    always_better = (max(change) < min(base) if better == "lower"
+                     else min(change) > max(base))
+    if bmed and (bq3 - bq1) / abs(bmed) > bound and not always_better:
+        return "unresolved"
+    return "held"
+
+
 def report(workload, metrics, runs):
     """Prints one workload's table; returns its flag lines."""
     flags = []
     print("\n### %s (%d pairs)\n" % (workload, len(runs)))
     print("| metric | base median [q1, q3] | change median [q1, q3] "
-          "| ratio | change wins |")
-    print("|---|---|---|---|---|")
+          "| ratio | change wins | verdict |")
+    print("|---|---|---|---|---|---|")
     for m in metrics:
         name, better, bound = m["name"], m["better"], m["bound"]
         pairs = [(seed, b["metrics"][name]["value"],
@@ -97,17 +124,21 @@ def report(workload, metrics, runs):
         ratio = cmed / bmed if bmed else float("nan")
         if better == "lower":
             wins = sum(c < b for _, b, c in pairs)
-            worse = cmed > bmed * (1 + bound)
         else:
             wins = sum(c > b for _, b, c in pairs)
-            worse = cmed < bmed * (1 - bound)
-        print("| %s | %s [%s, %s] | %s [%s, %s] | %s | %d/%d |" % (
+        v = verdict(base, change, wins, better, bound)
+        print("| %s | %s [%s, %s] | %s [%s, %s] | %s | %d/%d | %s |" % (
             name, fmt(bmed), fmt(bq1), fmt(bq3), fmt(cmed), fmt(cq1),
-            fmt(cq3), fmt(ratio), wins, len(pairs)))
-        if worse:
+            fmt(cq3), fmt(ratio), wins, len(pairs), v))
+        if v == "worse":
             flags.append("%s %s: change median %s is worse than base %s by "
                          "more than the bound %g" % (workload, name, fmt(cmed),
                                                      fmt(bmed), bound))
+        elif v == "unresolved":
+            flags.append("%s %s: unresolved, the base runs spread %s of their "
+                         "median, past the bound %g" % (
+                             workload, name,
+                             fmt((bq3 - bq1) / abs(bmed)), bound))
         if bound <= EXACT_BOUND:
             differ = [seed for seed, b, c in pairs if b != c]
             if differ:
@@ -120,7 +151,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", default="HEAD",
                         help="git ref to compare against (default HEAD)")
-    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="alternating base/change pairs per workload "
+                             "(default 10, the fewest a gain may rest on)")
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the first pair")
