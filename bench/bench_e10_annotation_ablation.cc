@@ -10,8 +10,8 @@
 
 #include <chrono>
 
-#include "baselines/zgh_warehouse.h"
 #include "bench_util.h"
+#include "vdp/annotation.h"
 #include "vdp/planner.h"
 
 namespace squirrel {

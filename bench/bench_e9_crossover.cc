@@ -5,12 +5,13 @@
 // better if the information sources change infrequently and very fast query
 // response time is needed."
 //
-// The sweep varies the update:query mix and compares four strategies on the
-// same Figure 1 scenario:
-//   virtual      — the pure query-decomposition baseline (no local state);
+// The sweep varies the update:query mix and compares four annotations of
+// the same Figure 1 scenario, each run by the one Squirrel mediator:
+//   virtual      — every node virtual: no local state, every query
+//                  decomposes to the sources (§1's virtual approach);
 //   warehouse    — [ZGHW95]: export materialized, no auxiliary data;
-//   materialized — Squirrel fully materialized support (Example 2.1);
-//   hybrid       — Squirrel Example 2.3 annotation.
+//   materialized — fully materialized support (Example 2.1);
+//   hybrid       — Example 2.3.
 // Reported: source polls, tuples shipped, mean query latency in *virtual*
 // time (network delays included), and total maintenance work. Expected
 // shape: virtual wins on maintenance as updates dominate; materialized wins
@@ -20,9 +21,8 @@
 
 #include <chrono>
 
-#include "baselines/virtual_mediator.h"
-#include "baselines/zgh_warehouse.h"
 #include "bench_util.h"
+#include "vdp/annotation.h"
 
 namespace squirrel {
 namespace bench {
@@ -89,98 +89,6 @@ MixResult RunSquirrel(const Annotation& ann, int updates, int queries) {
   return out;
 }
 
-/// Same workload against the pure-virtual baseline (updates cost nothing at
-/// the mediator; queries decompose and fetch).
-MixResult RunVirtualBaseline(int updates, int queries) {
-  auto db1 = std::make_unique<SourceDb>("DB1");
-  auto db2 = std::make_unique<SourceDb>("DB2");
-  Check(db1->AddRelation("R", SchemaOf("R(r1, r2, r3, r4) key(r1)")), "R");
-  Check(db2->AddRelation("S", SchemaOf("S(s1, s2, s3) key(s1)")), "S");
-  Scheduler scheduler;
-
-  // Seed identical data via a throwaway Fig1System generator: reuse the
-  // same deterministic stream by seeding directly here.
-  Rng rng(42);
-  {
-    MultiDelta mr;
-    Schema rs = SchemaOf("R(r1, r2, r3, r4) key(r1)");
-    for (int i = 0; i < kBaseRows; ++i) {
-      int64_t r4 = rng.Bernoulli(0.6) ? 100 : 7;
-      Check(mr.Mutable("R", rs)->AddInsert(
-                Tuple({int64_t{i}, rng.UniformInt(0, kSRows - 1) * 100,
-                       rng.UniformInt(0, 1000), r4})),
-            "seed");
-    }
-    Check(db1->Commit(0, mr), "commit");
-    MultiDelta ms;
-    Schema ss = SchemaOf("S(s1, s2, s3) key(s1)");
-    for (int i = 0; i < kSRows; ++i) {
-      Check(ms.Mutable("S", ss)->AddInsert(
-                Tuple({int64_t{i} * 100, rng.UniformInt(0, 50),
-                       rng.UniformInt(0, 99)})),
-            "seed");
-    }
-    Check(db2->Commit(0, ms), "commit");
-  }
-
-  PlannerInput input;
-  input.scans["R"] = {"DB1", "R", SchemaOf("R(r1, r2, r3, r4) key(r1)")};
-  input.scans["S"] = {"DB2", "S", SchemaOf("S(s1, s2, s3) key(s1)")};
-  input.exports.push_back(
-      {"T", Unwrap(ParseAlgebra("project[r1, r3, s1, s2](select[r4 = 100](R)"
-                                " join[r2 = s1] select[s3 < 50](S))"),
-                   "view")});
-  std::vector<SourceSetup> setups = {{db1.get(), kComm, kQProc, 0.0},
-                                     {db2.get(), kComm, kQProc, 0.0}};
-  auto med = Unwrap(
-      VirtualMediator::Create(std::move(input), setups, &scheduler, 0.0),
-      "virtual mediator");
-  Check(med->Start(), "start");
-
-  auto begin = std::chrono::steady_clock::now();
-  double latency_sum = 0;
-  int answered = 0;
-  int64_t next_key = kBaseRows;
-  Time now = 10.0;
-  int total = updates + queries;
-  for (int i = 0; i < total; ++i) {
-    bool do_update = (int64_t)i * updates / total <
-                     (int64_t)(i + 1) * updates / total;
-    if (do_update) {
-      // Source-side update; the virtual mediator does no work for it.
-      Check(db1->InsertTuple(now, "R",
-                             Tuple({next_key++,
-                                    rng.UniformInt(0, kSRows - 1) * 100,
-                                    rng.UniformInt(0, 1000), int64_t{100}})),
-            "update");
-    } else {
-      Time submitted = now;
-      scheduler.At(now, [&med, submitted, &latency_sum, &answered]() {
-        med->SubmitQuery(
-            ViewQuery{"T", {"r1", "s1"}, nullptr},
-            [submitted, &latency_sum, &answered](Result<ViewAnswer> ans) {
-              Check(ans.status(), "query");
-              latency_sum += ans->commit_time - submitted;
-              ++answered;
-            });
-      });
-    }
-    now += 8.0;
-    Drain(&scheduler);
-  }
-  auto end = std::chrono::steady_clock::now();
-
-  MixResult out;
-  out.polls = med->stats().polls;
-  out.tuples = med->stats().polled_tuples;
-  out.mean_query_latency = answered ? latency_sum / answered : 0;
-  out.wall_ms =
-      std::chrono::duration_cast<std::chrono::microseconds>(end - begin)
-          .count() /
-      1000.0;
-  return out;
-}
-
 void E9Table() {
   Vdp vdp = Unwrap(BuildFigure1Vdp(), "vdp");
   Table table({"mix (upd:qry)", "strategy", "polls", "tuples_shipped",
@@ -191,7 +99,8 @@ void E9Table() {
   };
   for (const Mix& mix : {Mix{"90:10", 90, 10}, Mix{"50:50", 50, 50},
                          Mix{"10:90", 10, 90}}) {
-    MixResult v = RunVirtualBaseline(mix.updates, mix.queries);
+    MixResult v = RunSquirrel(FullyVirtualAnnotation(vdp), mix.updates,
+                              mix.queries);
     table.AddRow({mix.label, "virtual", Table::Int(v.polls),
                   Table::Int(v.tuples), Table::Num(v.mean_query_latency, 2),
                   Table::Num(v.wall_ms, 1)});

@@ -8,9 +8,9 @@
 
 #include <cstdio>
 
-#include "baselines/zgh_warehouse.h"
 #include "mediator/mediator.h"
 #include "relational/parser.h"
+#include "vdp/annotation.h"
 #include "vdp/planner.h"
 
 using namespace squirrel;

@@ -24,6 +24,11 @@ constexpr Time kWalBeginRetryDelay = 2.0;
 /// so the responder gives up before this mediator does and the rejection
 /// has time to travel back.
 constexpr Time kDeadlineMargin = 1.0;
+/// Multiplier applied to the poll deadline per re-poll round.
+constexpr double kPollBackoff = 2.0;
+/// Re-poll rounds before a polling transaction gives up and quarantines
+/// the sources that stayed silent.
+constexpr int kPollMaxRetries = 3;
 
 }  // namespace
 
@@ -605,7 +610,7 @@ Time PollBackoffDelay(const MediatorOptions& options, int attempt,
   // reproducible (std::pow may differ across libms).
   Time delay = options.poll_timeout;
   for (int i = 0; i < attempt; ++i) {
-    delay *= options.poll_backoff;
+    delay *= kPollBackoff;
   }
   if (options.poll_jitter > 0) {
     // Seeded jitter (splitmix64 finalizer over seed/generation/attempt)
@@ -650,7 +655,7 @@ void Mediator::OnPollTimeout(uint64_t generation) {
       ++rt->poll_failures;
     }
   }
-  if (wait.attempt >= options_.poll_max_retries) {
+  if (wait.attempt >= kPollMaxRetries) {
     std::vector<std::string> silent;
     for (const auto& [source, req] : wait.outstanding) {
       silent.push_back(source);

@@ -72,15 +72,12 @@ struct MediatorOptions {
   bool snapshot_repos = true;
   /// 0 disables poll supervision (a transaction waits forever, the paper's
   /// idealized network). > 0 = deadline for one polling round; sources that
-  /// miss it are re-polled under fresh request ids with backed-off
-  /// deadlines.
+  /// miss it are re-polled under fresh request ids, the deadline doubling
+  /// per round. When the third re-poll round times out too, the transaction
+  /// gives up and the silent sources are quarantined: update transactions
+  /// re-queue their messages and retry later, query transactions fail over
+  /// to the caller with kUnavailable.
   Time poll_timeout = 0.0;
-  /// Deadline multiplier applied per re-poll round.
-  double poll_backoff = 2.0;
-  /// Re-poll rounds before the transaction gives up and the silent sources
-  /// are quarantined. Update transactions re-queue their messages and retry
-  /// later; query transactions fail over to the caller with kUnavailable.
-  int poll_max_retries = 3;
   /// Delay before an aborted update transaction is retried.
   Time txn_retry_delay = 1.0;
   /// Durability of the mediator's hard state (checkpoint + write-ahead
@@ -123,8 +120,8 @@ struct MediatorOptions {
 };
 
 /// The (deterministic) delay ArmPollTimeout arms for re-poll round
-/// \p attempt of polling round \p generation: poll_timeout backed off by
-/// poll_backoff per attempt, jittered, then capped at poll_backoff_cap.
+/// \p attempt of polling round \p generation: poll_timeout doubled per
+/// attempt, jittered, then capped at poll_backoff_cap.
 /// Exposed as a free function so tests can assert cap and determinism.
 Time PollBackoffDelay(const MediatorOptions& options, int attempt,
                       uint64_t generation);
@@ -398,7 +395,8 @@ class Mediator {
   /// prepared query) the materialized fraction with staleness annotations.
   void OnQueryDeadline(std::shared_ptr<QueryRun> run);
   /// Sends grouped poll requests; invokes \p done when all answers arrived,
-  /// or \p on_failure after poll_max_retries timed-out rounds.
+  /// or \p on_failure once the last of kPollMaxRetries re-poll rounds
+  /// timed out.
   void IssuePolls(const VapPlan& plan, std::function<void()> done,
                   std::function<void(const Status&)> on_failure);
   /// Arms the (backed-off) deadline for the current polling round.

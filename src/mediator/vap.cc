@@ -82,8 +82,7 @@ Expr::Ptr Substitute(const Expr::Ptr& e,
 }
 
 /// The attribute and values an `attr = const`, `const = attr` or `attr IN`
-/// clause looks up, or nullopt for any other clause. An equality with NaN
-/// holds for every number (Value order), which no lookup finds.
+/// clause looks up, or nullopt for any other clause.
 std::optional<std::pair<std::string, std::vector<Value>>> Lookup(
     const Expr& clause) {
   if (clause.kind() == Expr::Kind::kIn) {
@@ -99,11 +98,8 @@ std::optional<std::pair<std::string, std::vector<Value>>> Lookup(
       value->kind() != Expr::Kind::kConst) {
     return std::nullopt;
   }
-  const Value& v = value->value();
-  if (v.type() == ValueType::kDouble && std::isnan(v.AsDouble())) {
-    return std::nullopt;
-  }
-  return std::make_pair(attr->attr_name(), std::vector<Value>{v});
+  return std::make_pair(attr->attr_name(),
+                        std::vector<Value>{value->value()});
 }
 
 /// `attr IN` the values of \p attr in \p rows, or True when one of them is
@@ -129,6 +125,33 @@ Result<Expr::Ptr> KeySet(const Relation& rows, const std::string& attr) {
   });
   if (!exact) return Expr::True();
   return Expr::In(attr, std::move(keys));
+}
+
+/// The attributes an SPJ node's terms must supply for a request of
+/// \p attrs under \p cond: those, the condition's, the join conditions'
+/// and the outer selection's.
+std::set<std::string> SpjNeeded(const NodeDef& def,
+                                const std::vector<std::string>& attrs,
+                                const Expr::Ptr& cond) {
+  std::set<std::string> needed(attrs.begin(), attrs.end());
+  if (cond) cond->CollectAttrs(&needed);
+  def.outer_select()->CollectAttrs(&needed);
+  for (const auto& jc : def.join_conds()) jc->CollectAttrs(&needed);
+  return needed;
+}
+
+/// The attributes of \p needed that SPJ term \p term projects. A term that
+/// projects none of them still contributes join multiplicity, so it keeps
+/// its first attribute. The term's child must supply these plus the
+/// attributes of term.select, which applies before the projection.
+std::set<std::string> TermAttrs(const ChildTerm& term,
+                                const std::set<std::string>& needed) {
+  std::set<std::string> out;
+  for (const auto& a : term.project) {
+    if (needed.count(a)) out.insert(a);
+  }
+  if (out.empty() && !term.project.empty()) out.insert(term.project[0]);
+  return out;
 }
 
 }  // namespace
@@ -269,32 +292,11 @@ Result<std::vector<TempRequest>> Vap::DerivedFrom(
   std::vector<TempRequest> out;
 
   if (def.kind() == NodeDef::Kind::kSpj) {
-    std::set<std::string> cond_attrs = AttrsOf(req.cond);
-    std::set<std::string> outer_attrs = AttrsOf(def.outer_select());
-    std::set<std::string> join_attrs;
-    for (const auto& jc : def.join_conds()) {
-      for (const auto& a : AttrsOf(jc)) join_attrs.insert(a);
-    }
+    const std::set<std::string> needed = SpjNeeded(def, req.attrs, req.cond);
     for (const auto& term : def.terms()) {
       SQ_ASSIGN_OR_RETURN(const VdpNode* child, vdp_->Get(term.child));
-      std::set<std::string> b;
-      for (const auto& a : req.attrs) {
-        if (ContainsAttr(term.project, a)) b.insert(a);
-      }
-      for (const auto& a : join_attrs) {
-        if (ContainsAttr(term.project, a)) b.insert(a);
-      }
-      for (const auto& a : outer_attrs) {
-        if (ContainsAttr(term.project, a)) b.insert(a);
-      }
-      for (const auto& a : cond_attrs) {
-        if (ContainsAttr(term.project, a)) b.insert(a);
-      }
-      for (const auto& a : AttrsOf(term.select)) b.insert(a);
-      if (b.empty() && !term.project.empty()) {
-        // The term still contributes join multiplicity; keep one attribute.
-        b.insert(term.project[0]);
-      }
+      std::set<std::string> b = TermAttrs(term, needed);
+      if (term.select) term.select->CollectAttrs(&b);
       TempRequest child_req;
       child_req.node = term.child;
       child_req.attrs = NormalizeAttrs(child->schema, b);
@@ -477,18 +479,14 @@ Result<Relation> Vap::SelectRepo(const std::string& node,
                                  const StoreSnapshot* snap) const {
   SQ_ASSIGN_OR_RETURN(const Relation* repo, RepoAt(node, snap));
   // A lookup clause on an indexed attribute narrows the scan to the rows
-  // the index holds for its values. An equality would miss NaN keys, which
-  // Value order makes equal to every number, so it scans while any exist.
-  // Snapshot reads bypass the indexes, which track the live repositories.
+  // the index holds for its values. Snapshot reads bypass the indexes,
+  // which track the live repositories.
   if (snap == nullptr) {
     for (const auto& clause : ConjunctiveClauses(cond)) {
       auto lookup = Lookup(*clause);
       if (!lookup) continue;
       const KeyIndex* index = store_->Index(node, {lookup->first});
-      if (index == nullptr ||
-          (clause->kind() != Expr::Kind::kIn && index->HasNanKey())) {
-        continue;
-      }
+      if (index == nullptr) continue;
       return SelectByKeys(*index, lookup->second, cond,
                           repo->schema().AttributeNames());
     }
@@ -603,32 +601,14 @@ Result<Relation> Vap::Assemble(const TempRequest& req, const TempStore& temps,
 
   // Child-based assembly per def kind.
   if (def.kind() == NodeDef::Kind::kSpj) {
-    std::set<std::string> cond_attrs = AttrsOf(req_cond);
-    std::set<std::string> outer_attrs = AttrsOf(def.outer_select());
-    std::set<std::string> join_attrs;
-    for (const auto& jc : def.join_conds()) {
-      for (const auto& a : AttrsOf(jc)) join_attrs.insert(a);
-    }
+    const std::set<std::string> needed = SpjNeeded(def, req.attrs, req_cond);
     std::vector<Relation> term_rels;
     for (const auto& term : def.terms()) {
-      std::set<std::string> p;
-      for (const auto& a : req.attrs) {
-        if (ContainsAttr(term.project, a)) p.insert(a);
-      }
-      for (const auto& a : join_attrs) {
-        if (ContainsAttr(term.project, a)) p.insert(a);
-      }
-      for (const auto& a : outer_attrs) {
-        if (ContainsAttr(term.project, a)) p.insert(a);
-      }
-      for (const auto& a : cond_attrs) {
-        if (ContainsAttr(term.project, a)) p.insert(a);
-      }
-      if (p.empty() && !term.project.empty()) p.insert(term.project[0]);
+      const std::set<std::string> p = TermAttrs(term, needed);
       SQ_ASSIGN_OR_RETURN(const VdpNode* child, vdp_->Get(term.child));
       std::vector<std::string> proj = NormalizeAttrs(child->schema, p);
       std::set<std::string> b = p;
-      for (const auto& a : AttrsOf(term.select)) b.insert(a);
+      if (term.select) term.select->CollectAttrs(&b);
       SQ_ASSIGN_OR_RETURN(
           std::shared_ptr<const Relation> state,
           ChildState(term.child, NormalizeAttrs(child->schema, b), temps,

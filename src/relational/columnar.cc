@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/cancel.h"
 #include "common/strings.h"
@@ -34,9 +35,9 @@ namespace {
 /// Normalizes \p v to the packed key encoding that reproduces Value
 /// equality (see columnar.h). Strings resolve against \p arena: interned
 /// when \p intern, otherwise looked up — a miss returns false (the key
-/// cannot match any build row). The integral-double bounds are
-/// Value::Hash's, so pack-equality coincides with Value equality for every
-/// value the workloads produce.
+/// cannot match any build row). The integral-double bounds and the one NaN
+/// are Value::Hash's, so pack-equality coincides with Value equality for
+/// every value the workloads produce.
 bool NormalizeValue(const Value& v, StringArena* arena, bool intern,
                     ColumnTag* tag, uint64_t* bits) {
   switch (v.type()) {
@@ -55,7 +56,7 @@ bool NormalizeValue(const Value& v, StringArena* arena, bool intern,
         *bits = static_cast<uint64_t>(static_cast<int64_t>(d));
         return true;
       }
-      if (d == 0.0) d = 0.0;  // normalize -0.0
+      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
       *tag = kTagDouble;
       *bits = DoubleBits(d);
       return true;

@@ -58,8 +58,8 @@ std::string MemberLiteral(const Value& v) {
 }  // namespace
 
 InList::InList(std::vector<Value> values) : values_(std::move(values)) {
-  // NULL is never a member; NaN compares equal to every number under Value
-  // order, so it could neither sort nor probe consistently.
+  // NULL is never a member. Neither is NaN: it has no literal text, so a
+  // list holding it could not be written out and parsed back.
   values_.erase(std::remove_if(values_.begin(), values_.end(),
                                [](const Value& v) {
                                  return v.is_null() || IsNan(v);
@@ -71,7 +71,6 @@ InList::InList(std::vector<Value> values) : values_(std::move(values)) {
 }
 
 bool InList::Contains(const Value& v) const {
-  if (v.is_null() || IsNan(v)) return false;
   return members_.count(v) > 0;
 }
 

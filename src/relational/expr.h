@@ -49,17 +49,17 @@ const char* BinOpName(BinOp op);
 /// \brief The constant list of an IN predicate.
 ///
 /// Values are sorted by Value order, deduplicated under Value equality
-/// (5 and 5.0 are one member; the int form is kept) and NULL-free: a NULL
-/// operand is never a member. Membership is one hash probe with Value::Hash
-/// and Value equality — the join kernels' key equality — so a value of
-/// another type is simply not a member, never a type error.
+/// (5 and 5.0 are one member; the int form is kept) and free of NULL and
+/// NaN, so neither is ever a member. Membership is one hash probe with
+/// Value::Hash and Value equality — the join kernels' key equality — so a
+/// value of another type is simply not a member, never a type error.
 class InList {
  public:
   explicit InList(std::vector<Value> values);
 
   /// The canonical member list.
   const std::vector<Value>& values() const { return values_; }
-  /// True iff \p v equals a member (false for NULL).
+  /// True iff \p v equals a member (false for NULL and NaN).
   bool Contains(const Value& v) const;
 
  private:

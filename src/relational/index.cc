@@ -1,7 +1,6 @@
 #include "relational/index.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/strings.h"
 
@@ -23,7 +22,6 @@ Result<KeyIndex> KeyIndex::Build(const Relation& rel,
 
 void KeyIndex::Rebuild() {
   entries_ = {};
-  nan_keys_ = 0;
   entries_.reserve(rel_->DistinctSize());
   for (const Row& row : rel_->rows()) Add(&row);
 }
@@ -42,16 +40,8 @@ bool KeyIndex::KeyEquals(const Tuple& row, const Tuple& probe,
   return true;
 }
 
-bool KeyIndex::HasNan(const Tuple& row) const {
-  return std::any_of(positions_.begin(), positions_.end(), [&](size_t p) {
-    const Value& v = row.at(p);
-    return v.type() == ValueType::kDouble && std::isnan(v.AsDouble());
-  });
-}
-
 void KeyIndex::Add(const Row* row) {
   entries_.emplace(KeyHash(row->first, positions_), row);
-  if (HasNan(row->first)) ++nan_keys_;
 }
 
 void KeyIndex::Remove(const Row* row) {
@@ -59,7 +49,6 @@ void KeyIndex::Remove(const Row* row) {
   for (auto it = lo; it != hi; ++it) {
     if (it->second == row) {
       entries_.erase(it);
-      if (HasNan(row->first)) --nan_keys_;
       return;
     }
   }

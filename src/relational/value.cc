@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -76,7 +77,10 @@ int Value::Compare(const Value& other) const {
       double a = AsNumeric(), b = other.AsNumeric();
       if (a < b) return -1;
       if (a > b) return 1;
-      return 0;
+      if (a == b) return 0;
+      // Unordered: at least one is NaN, which is above every number.
+      const bool nan_a = std::isnan(a), nan_b = std::isnan(b);
+      return nan_a == nan_b ? 0 : (nan_a ? 1 : -1);
     }
     case ValueType::kString: {
       int c = AsString().compare(other.AsString());
@@ -102,7 +106,8 @@ uint64_t Value::Hash() const {
         int64_t v = static_cast<int64_t>(d);
         return HashBytes(&v, sizeof(v));
       }
-      if (d == 0.0) d = 0.0;  // normalize -0.0
+      // One hash for every NaN payload and sign, as Compare makes them equal.
+      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
       return HashBytes(&d, sizeof(d));
     }
     case ValueType::kString: {

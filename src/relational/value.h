@@ -59,8 +59,10 @@ class Value {
   /// Renders the value for display ("NULL", "42", "3.5", "'abc'").
   std::string ToString() const;
 
-  /// Total order over all values (null < numerics < strings; numerics
-  /// compare cross-type by numeric value, ties broken int < double).
+  /// Total order over all values: null < numerics < strings. Numerics
+  /// compare cross-type by numeric value (2 == 2.0, -0.0 == 0), and every
+  /// NaN equals every other NaN and sorts above every other number, as in
+  /// PostgreSQL.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
@@ -68,7 +70,8 @@ class Value {
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
   /// 64-bit hash consistent with operator== (cross-type numeric equality
-  /// hashes integral doubles like their int counterparts).
+  /// hashes integral doubles like their int counterparts; every NaN hashes
+  /// alike).
   uint64_t Hash() const;
 
  private:

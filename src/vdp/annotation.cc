@@ -137,4 +137,24 @@ std::string Annotation::ToString(const Vdp& vdp) const {
   return out;
 }
 
+// SetAll cannot fail below: every derived name is a node of vdp.
+
+Annotation WarehouseAnnotation(const Vdp& vdp) {
+  Annotation ann;
+  for (const auto& name : vdp.DerivedNames()) {
+    if (!vdp.Find(name)->exported) {
+      (void)ann.SetAll(vdp, name, AttrMode::kVirtual);
+    }
+  }
+  return ann;
+}
+
+Annotation FullyVirtualAnnotation(const Vdp& vdp) {
+  Annotation ann;
+  for (const auto& name : vdp.DerivedNames()) {
+    (void)ann.SetAll(vdp, name, AttrMode::kVirtual);
+  }
+  return ann;
+}
+
 }  // namespace squirrel

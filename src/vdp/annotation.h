@@ -75,6 +75,16 @@ class Annotation {
   std::map<std::string, std::map<std::string, AttrMode>> modes_;
 };
 
+/// The [ZGHW95] warehouse: export nodes fully materialized, every other
+/// derived node fully virtual, so the view is kept with no auxiliary data
+/// and maintenance polls the sources (Example 2.2 generalizes it).
+Annotation WarehouseAnnotation(const Vdp& vdp);
+
+/// The virtual approach of the paper's §1: every derived node virtual, so
+/// the sources are passive virtual-contributors and every query decomposes
+/// to them.
+Annotation FullyVirtualAnnotation(const Vdp& vdp);
+
 }  // namespace squirrel
 
 #endif  // SQUIRREL_VDP_ANNOTATION_H_

@@ -90,8 +90,6 @@ class FaultedFigure1 : public ::testing::Test {
 
     MediatorOptions options;
     options.poll_timeout = 2.0;
-    options.poll_backoff = 2.0;
-    options.poll_max_retries = 3;
     options.txn_retry_delay = 1.0;
     std::vector<SourceSetup> setups = {
         {db1_.get(), 0.5, 0.2, 0.0, inj1_.get()},

@@ -103,8 +103,6 @@ class ResyncFigure1 : public ::testing::Test {
 
     options.poll_timeout = options.poll_timeout == 0.0 ? 2.0
                                                        : options.poll_timeout;
-    options.poll_backoff = 2.0;
-    options.poll_max_retries = 3;
     options.txn_retry_delay = 1.0;
     std::vector<SourceSetup> setups = {
         {db1_.get(), 0.5, 0.2, 0.0, inj1_.get()},

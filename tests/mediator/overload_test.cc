@@ -224,7 +224,6 @@ TEST(AdmissionGateTest, ResetInflightDropsSlotsKeepsCounters) {
 MediatorOptions BackoffOptions() {
   MediatorOptions o;
   o.poll_timeout = 2.0;
-  o.poll_backoff = 2.0;
   return o;
 }
 

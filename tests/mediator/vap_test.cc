@@ -288,10 +288,14 @@ TEST_F(VapFixture, KeyBoundMatchesChildBasedOnNullNanDuplicateAndEmptyKeys) {
       child.get(), key.get(),
       {"r1 = 6", "r1 >= 2", "r1 <= 6", "s1 = 100", "r1 = 999", "s1 = 999"},
       MultiDelta());
-  // Value order makes NaN equal to every number, so σ_{r1=999} keeps the
-  // NaN row; σ_{s1=999} selects nothing and polls with empty key sets.
-  QueryProcessor::LocalAnswer nan_row = AnswerEx23(
+  // NaN equals only NaN and sorts above every number (Value order), so
+  // σ_{r1=999} selects nothing while σ_{r1>999} selects the NaN row;
+  // σ_{s1=999} selects nothing and polls with empty key sets.
+  QueryProcessor::LocalAnswer no_row = AnswerEx23(
       key.get(), ViewQuery{"T", {"r1", "r3"}, Pred("r1 = 999")}, MultiDelta());
+  EXPECT_EQ(Rows(no_row.data), "");
+  QueryProcessor::LocalAnswer nan_row = AnswerEx23(
+      key.get(), ViewQuery{"T", {"r1", "r3"}, Pred("r1 > 999")}, MultiDelta());
   EXPECT_EQ(Rows(nan_row.data), "(nan, 80) ");
   QueryProcessor::LocalAnswer none = AnswerEx23(
       key.get(), ViewQuery{"T", {"r1", "r3"}, Pred("s1 = 999")}, MultiDelta());
@@ -405,6 +409,45 @@ TEST_F(VapFixture, KeyBoundNestedChoicesMatchChildBased) {
   SQ_ASSERT_OK_AND_ASSIGN(auto ans,
                           key->qp().Answer(point, key->DirectPoll(), nullptr));
   EXPECT_EQ(Rows(ans.data), "(2, 150, 42) ");
+}
+
+// A term that projects none of the attributes a request needs still
+// contributes its multiplicity through its first attribute, and its child
+// must also supply what the term's selection reads. Planning and assembly
+// must agree on both: for π_{r1}X over the fully virtual
+// X = π_{r1,s1}(R' × σ_{s2>5}π_{s1}S'), S' supplies s1 and s2.
+TEST_F(VapFixture, CrossProductTermNeedingNoAttributeKeepsItsMultiplicity) {
+  SQ_ASSERT_OK(db2_->InsertTuple(0, "S", Tuple({300, 7, 30})));
+  VdpBuilder b;
+  b.Leaf("R", "DB1", "R", "R(r1, r2, r3, r4) key(r1)");
+  b.Leaf("S", "DB2", "S", "S(s1, s2, s3) key(s1)");
+  b.LeafParent("R'", "R", {"r1", "r2", "r3"}, "r4 = 100");
+  b.LeafParent("S'", "S", {"s1", "s2"}, "s3 < 50");
+  b.Spj("X", {{"R'", {"r1"}, ""}, {"S'", {"s1"}, "s2 > 5"}}, {""},
+        {"r1", "s1"}, "", /*exported=*/true);
+  auto vdp = b.Build();
+  ASSERT_TRUE(vdp.ok()) << vdp.status().ToString();
+  Annotation ann = FullyVirtualAnnotation(*vdp);
+  DirectHarness h(std::move(vdp).value(), std::move(ann),
+                  {{"DB1", db1_.get()}, {"DB2", db2_.get()}},
+                  VapStrategy::kChildBased);
+  SQ_ASSERT_OK(h.Load());
+  SQ_ASSERT_OK_AND_ASSIGN(VapPlan plan,
+                          h.vap().Plan({TempRequest{"X", {"r1"}, nullptr}}));
+  bool s_requested = false;
+  for (const auto& req : plan.build_order) {
+    if (req.node != "S'") continue;
+    EXPECT_EQ(req.attrs, (std::vector<std::string>{"s1", "s2"}));
+    s_requested = true;
+  }
+  EXPECT_TRUE(s_requested);
+  SQ_ASSERT_OK_AND_ASSIGN(TempStore temps,
+                          h.vap().Execute(plan, h.DirectPoll(), nullptr));
+  // Two S' rows pass s2 > 5, so each R' row appears twice.
+  const Relation& x = temps.Find("X")->data;
+  EXPECT_EQ(x.CountOf(Tuple({1})), 2);
+  EXPECT_EQ(x.CountOf(Tuple({2})), 2);
+  EXPECT_EQ(x.TotalSize(), 4);
 }
 
 TEST_F(VapFixture, MergingUnionsAttrsAndOrsConds) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 namespace squirrel {
 namespace {
 
@@ -82,6 +87,31 @@ TEST(ValueTest, ToString) {
 TEST(ValueTest, NegativeZeroHashesLikeZero) {
   EXPECT_EQ(Value(0.0), Value(-0.0));
   EXPECT_EQ(Value(0.0).Hash(), Value(-0.0).Hash());
+}
+
+TEST(ValueTest, NanIsOneValueAboveEveryNumber) {
+  // Every NaN payload and sign is one value, and hashes alike.
+  const Value nan(std::nan("")), other_nan(-std::nan("7"));
+  EXPECT_EQ(nan, other_nan);
+  EXPECT_EQ(nan.Hash(), other_nan.Hash());
+  // It sorts above every number, so equality stays transitive: a NaN equal
+  // to both 5 and 6.0 would make them equal.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Value& v : {Value(5), Value(6.0), Value(-inf), Value(inf)}) {
+    EXPECT_NE(nan, v) << v.ToString();
+    EXPECT_LT(v, nan) << v.ToString();
+    EXPECT_GT(nan.Compare(v), 0) << v.ToString();
+  }
+  EXPECT_LT(Value(), nan);
+  EXPECT_LT(nan, Value("a"));
+  std::vector<Value> sorted = {Value(6.0), nan, Value(5), other_nan,
+                               Value(-inf)};
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted[0], Value(-inf));
+  EXPECT_EQ(sorted[1], Value(5));
+  EXPECT_EQ(sorted[2], Value(6.0));
+  EXPECT_EQ(sorted[3], nan);
+  EXPECT_EQ(sorted[4], nan);
 }
 
 TEST(ValueTest, HashDiffersForDifferentValues) {

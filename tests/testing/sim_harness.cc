@@ -261,16 +261,15 @@ Result<Scenario> BuildScenario(uint64_t seed, const FaultSimOptions& opts) {
     }
   }
 
-  // ---- mediator configuration; the final re-poll deadline
-  // (poll_timeout * backoff^retries >= 12) comfortably exceeds the
-  // worst-case healthy round trip, so post-fault rounds always complete ----
+  // ---- mediator configuration; the final re-poll deadline (poll_timeout
+  // doubled over the mediator's three re-poll rounds, >= 12) comfortably
+  // exceeds the worst-case healthy round trip, so post-fault rounds always
+  // complete ----
   sc.options.update_period =
       rng.Bernoulli(0.5) ? 0.0 : rng.UniformDouble() * 3;
   sc.options.u_proc_delay = rng.UniformDouble() * 0.2;
   sc.options.q_proc_delay = rng.UniformDouble() * 0.2;
   sc.options.poll_timeout = 1.5 + rng.UniformDouble() * 2.0;
-  sc.options.poll_backoff = 2.0;
-  sc.options.poll_max_retries = 3;
   sc.options.txn_retry_delay = 0.5 + rng.UniformDouble();
   sc.options.coalesce_window = opts.coalesce_window;
   sc.options.degraded_reads = opts.degraded_reads;
